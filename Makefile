@@ -9,7 +9,7 @@ BENCHOUT  ?= BENCH_latest.txt
 MEMWINDOW ?= 60000
 MEMCACHE  ?= /tmp/gals-bench-mem-cache
 
-.PHONY: all build test test-short race vet parity determinism chaos crash obs bench bench-json bench-suite bench-mem bench-smoke bench-e2e-smoke ci
+.PHONY: all build test test-short race vet allocs parity determinism chaos crash obs bench bench-json bench-suite bench-mem bench-smoke bench-e2e-smoke ci
 
 all: build
 
@@ -29,6 +29,12 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# Allocation gate (also a CI step): the steady-state instruction loop must
+# not allocate (TestStepAllocsPerInstruction, < 1 B/instruction in every
+# organization). Run without -race so the counts are the release build's.
+allocs:
+	$(GO) test -run 'Allocs' ./internal/core/ .
 
 # Policy-parity gate (also a CI step): the "paper" adaptation policy must
 # stay bit-identical to the pre-extraction machine — golden reconfiguration
@@ -108,4 +114,4 @@ bench-smoke:
 bench-e2e-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-ci: build vet race bench-smoke bench-e2e-smoke
+ci: build vet allocs race bench-smoke bench-e2e-smoke

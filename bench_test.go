@@ -365,6 +365,20 @@ func BenchmarkSimulatorPhaseAdaptiveRecorded(b *testing.B) {
 	m.Run(int64(b.N))
 }
 
+// BenchmarkSimulatorSynchronousRecorded is the synchronous sweep cell's hot
+// path: a Table 3 synchronous configuration replaying a recorded slab, as
+// every cell of the 1,024-point synchronous sweep does. B/op pins the
+// instruction loop's steady-state allocation (0 since the cache latencies
+// are cached per configuration instead of looked up per access).
+func BenchmarkSimulatorSynchronousRecorded(b *testing.B) {
+	spec, _ := workload.ByName("gcc")
+	rec := spec.Record(int64(b.N))
+	m := core.NewMachineSource(rec.Replay(), core.DefaultSync())
+	b.ReportAllocs()
+	b.ResetTimer()
+	m.Run(int64(b.N))
+}
+
 // warmRunAllocBudget bounds allocations per warm (cache-hit) service run.
 // The warm path is: normalize -> cache key (canonical JSON) -> singleflight
 // -> disk load + decode; the audit that set this measured 36 allocs/op

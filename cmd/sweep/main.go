@@ -150,7 +150,7 @@ func main() {
 	}
 	for i, r := range rank {
 		c := syncCfgs[r.Config]
-		if timing.SyncICacheSpecs()[c.SyncICache].Name == "64k1W" && c.DCache == timing.DCache32K1W &&
+		if timing.SyncICacheSpecAt(c.SyncICache).Name == "64k1W" && c.DCache == timing.DCache32K1W &&
 			c.IntIQ == timing.IQ16 && c.FPIQ == timing.IQ16 {
 			rel := math.Exp((r.Score - rank[0].Score) / n)
 			fmt.Printf("  paper's best-sync config ranks #%d: %-30s %+.2f%%\n", i+1, c.Label(), (rel-1)*100)

@@ -214,7 +214,7 @@ func (c Config) GlobalPeriod() timing.FS {
 	if c.Mode != Synchronous {
 		panic("core: GlobalPeriod on non-synchronous config")
 	}
-	f := timing.SyncICacheSpecs()[c.SyncICache].MHz
+	f := timing.SyncICacheSpecAt(c.SyncICache).MHz
 	if d := c.DCache.Spec().OptimalMHz; d < f {
 		f = d
 	}
@@ -232,7 +232,7 @@ func (c Config) Label() string {
 	switch c.Mode {
 	case Synchronous:
 		return fmt.Sprintf("sync[i$=%s d$=%s iq=%d fq=%d]",
-			timing.SyncICacheSpecs()[c.SyncICache].Name, c.DCache, c.IntIQ, c.FPIQ)
+			timing.SyncICacheSpecAt(c.SyncICache).Name, c.DCache, c.IntIQ, c.FPIQ)
 	default:
 		ic := c.ICache.String()
 		if c.ICacheBySets {
@@ -271,7 +271,7 @@ func (c Config) policyLabel() string {
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	if c.Mode == Synchronous {
-		if c.SyncICache < 0 || c.SyncICache >= len(timing.SyncICacheSpecs()) {
+		if c.SyncICache < 0 || c.SyncICache >= timing.NumSyncICacheSpecs {
 			return fmt.Errorf("core: sync i-cache index %d out of range", c.SyncICache)
 		}
 	} else {

@@ -35,6 +35,7 @@ func (m *Machine) applyPending() {
 	now := m.lastCommit
 	if p := m.pendingFE; p != nil && now >= p.at {
 		m.iCfg = timing.ICacheConfig(p.final)
+		m.setICacheLatencies()
 		m.configureI(p.final+1, true)
 		m.bank.SetActive(m.iCfg)
 		m.fePeriod = m.clocks[clock.FrontEnd].CurrentPeriod()
@@ -42,6 +43,7 @@ func (m *Machine) applyPending() {
 	}
 	if p := m.pendingLS; p != nil && now >= p.at {
 		m.dCfg = timing.DCacheConfig(p.final)
+		m.setDCacheLatencies()
 		m.configureD(dcacheWaysA(m.dCfg), true)
 		m.lsPeriod = m.clocks[clock.LoadStore].CurrentPeriod()
 		m.pendingLS = nil

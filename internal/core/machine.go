@@ -184,6 +184,14 @@ type Machine struct {
 	fePeriod timing.FS
 	lsPeriod timing.FS
 
+	// Access latencies in cycles of the current front-end (I-cache) and
+	// load/store (L1 D, L2) configurations: A partition and extra B
+	// latency. Set by setICacheLatencies/setDCacheLatencies whenever iCfg
+	// or dCfg changes, so the instruction loop never looks them up.
+	iLatA, iLatB   int
+	l1LatA, l1LatB int
+	l2LatA, l2LatB int
+
 	// Structural windows.
 	rob      *window // commit times; ROBEntries
 	fetchQ   *window // rename times; FetchQueueEntries
@@ -420,10 +428,12 @@ func newMachine(src InstSource, cfg Config) *Machine {
 	}
 	m.fePeriod = m.clocks[clock.FrontEnd].CurrentPeriod()
 	m.lsPeriod = m.clocks[clock.LoadStore].CurrentPeriod()
+	m.setICacheLatencies()
+	m.setDCacheLatencies()
 
 	// Caches and predictor.
 	if cfg.Mode == Synchronous {
-		ic := timing.SyncICacheSpecs()[cfg.SyncICache]
+		ic := timing.SyncICacheSpecAt(cfg.SyncICache)
 		m.icache = cache.New(cache.Geometry{
 			Name: "L1I", Sets: ic.SizeKB * 1024 / LineBytes / ic.Assoc,
 			Ways: ic.Assoc, LineBytes: LineBytes,

@@ -50,27 +50,42 @@ func (m *Machine) mispredictPenalties() (int, int) {
 	return AdaptMispredictFE, AdaptMispredictInt
 }
 
+// setICacheLatencies caches the A latency and extra B latency of the
+// current front-end configuration (optimized Table 3 and sets-resized
+// caches have no B partition).
+func (m *Machine) setICacheLatencies() {
+	switch {
+	case m.cfg.Mode == Synchronous:
+		m.iLatA, m.iLatB = timing.SyncICacheSpecAt(m.cfg.SyncICache).ALat, 0
+	case m.cfg.ICacheBySets:
+		m.iLatA, m.iLatB = m.iCfg.SetsSpec().ALat, 0
+	default:
+		s := m.iCfg.Spec()
+		m.iLatA, m.iLatB = s.ALat, s.BLat
+	}
+}
+
+// setDCacheLatencies caches the L1 and L2 A latencies and extra B
+// latencies of the current load/store configuration (the synchronous
+// machine's optimized caches have no B partition).
+func (m *Machine) setDCacheLatencies() {
+	s := m.dCfg.Spec()
+	m.l1LatA, m.l2LatA = s.L1ALat, s.L2ALat
+	if m.cfg.Mode == Synchronous {
+		m.l1LatB, m.l2LatB = 0, 0
+	} else {
+		m.l1LatB, m.l2LatB = s.L1BLat, s.L2BLat
+	}
+}
+
 // icacheLatencies returns the A latency and extra B latency of the current
 // front-end configuration.
-func (m *Machine) icacheLatencies() (int, int) {
-	if m.cfg.Mode == Synchronous {
-		return timing.SyncICacheSpecs()[m.cfg.SyncICache].ALat, 0
-	}
-	if m.cfg.ICacheBySets {
-		return m.iCfg.SetsSpec().ALat, 0
-	}
-	s := m.iCfg.Spec()
-	return s.ALat, s.BLat
-}
+func (m *Machine) icacheLatencies() (int, int) { return m.iLatA, m.iLatB }
 
 // dcacheLatencies returns (L1 A, L1 extra B, L2 A, L2 extra B) latencies of
 // the current load/store configuration.
 func (m *Machine) dcacheLatencies() (int, int, int, int) {
-	s := m.dCfg.Spec()
-	if m.cfg.Mode == Synchronous {
-		return s.L1ALat, 0, s.L2ALat, 0
-	}
-	return s.L1ALat, s.L1BLat, s.L2ALat, s.L2BLat
+	return m.l1LatA, m.l1LatB, m.l2LatA, m.l2LatB
 }
 
 // l2AccessI performs the unified-L2 access for an I-side line fill: the

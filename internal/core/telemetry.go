@@ -138,7 +138,16 @@ type Telemetry struct {
 	lastIQInstr    int64
 	lastIQTime     timing.FS
 	sealed         bool
+	// iqBacking holds iqWindowsPerSample entries per ring slot; the IQ
+	// slices of "iq" samples are carved from it round-robin, starting at
+	// entry iqNext.
+	iqBacking []TelemetryIQWindow
+	iqNext    int
 }
+
+// iqWindowsPerSample is the number of ILP-tracker windows an "iq" sample
+// carries.
+const iqWindowsPerSample = 4
 
 // NewTelemetry returns a sampler with preallocated sample and event rings
 // of the given capacity each (<= 0 selects DefaultTelemetryCap).
@@ -147,10 +156,24 @@ func NewTelemetry(capacity int) *Telemetry {
 		capacity = DefaultTelemetryCap
 	}
 	return &Telemetry{
-		Version: TelemetryVersion,
-		Samples: make([]TelemetrySample, 0, capacity),
-		Events:  make([]TelemetryEvent, 0, capacity),
+		Version:   TelemetryVersion,
+		Samples:   make([]TelemetrySample, 0, capacity),
+		Events:    make([]TelemetryEvent, 0, capacity),
+		iqBacking: make([]TelemetryIQWindow, capacity*iqWindowsPerSample),
 	}
+}
+
+// iqWindows returns the next sample's ILP-window slice, carved from the
+// preallocated backing array. Chunks go round-robin by "iq" sample count,
+// so a chunk is reused only by the capacity-th "iq" sample after the one
+// holding it; at least capacity samples have been pushed by then, so the
+// ring has already dropped (or is about to drop) that holder.
+func (t *Telemetry) iqWindows() []TelemetryIQWindow {
+	lo := t.iqNext
+	if t.iqNext += iqWindowsPerSample; t.iqNext == len(t.iqBacking) {
+		t.iqNext = 0
+	}
+	return t.iqBacking[lo : lo+iqWindowsPerSample : lo+iqWindowsPerSample]
 }
 
 func (t *Telemetry) pushSample(s TelemetrySample) {
@@ -241,12 +264,12 @@ func (t *Telemetry) noteCacheInterval(m *Machine, st *parStats) {
 
 // noteIQInterval records one completed ILP-tracking interval with the four
 // tracker window occupancies the policy is about to decide on.
-func (t *Telemetry) noteIQInterval(m *Machine, samples [4]queue.Sample) {
+func (t *Telemetry) noteIQInterval(m *Machine, samples [iqWindowsPerSample]queue.Sample) {
 	t.trigger = "iq-interval"
 	s := t.base(m, "iq")
 	s.IPC = intervalIPC(m.count-t.lastIQInstr, m.lastCommit-t.lastIQTime)
 	t.lastIQInstr, t.lastIQTime = m.count, m.lastCommit
-	iq := make([]TelemetryIQWindow, len(samples))
+	iq := t.iqWindows()
 	for i, w := range samples {
 		iq[i] = TelemetryIQWindow{Window: w.N, MaxILP: w.M, IntOcc: w.IntCount, FPOcc: w.FPCount}
 	}

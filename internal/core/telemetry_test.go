@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 
 	"gals/internal/control"
@@ -135,6 +136,59 @@ func TestTelemetryRingOverflow(t *testing.T) {
 		if !reflect.DeepEqual(small.Events, wantEvents) {
 			t.Errorf("overflowed event ring does not hold the newest events in order")
 		}
+	}
+}
+
+// distinctIQBacking reports whether no two samples' IQ slices share
+// backing storage: the preallocated windows must never alias a live sample.
+func distinctIQBacking(samples []TelemetrySample) bool {
+	seen := map[*TelemetryIQWindow]bool{}
+	for i := range samples {
+		if iq := samples[i].IQ; len(iq) > 0 {
+			if seen[&iq[0]] {
+				return false
+			}
+			seen[&iq[0]] = true
+		}
+	}
+	return true
+}
+
+// TestTelemetryRingReuseAcrossRuns continues a sealed, wrapped ring with a
+// second run of the same machine: the IQ windows carved for new samples
+// must never overwrite a sample the ring still holds, so the kept samples
+// are exactly the newest of the uninterrupted series.
+func TestTelemetryRingReuseAcrossRuns(t *testing.T) {
+	spec, _ := workload.ByName("gcc")
+	cfg := DefaultAdaptive(PhaseAdaptive)
+	cfg.PLLScale = 0.1
+
+	// The window ends away from any cache-interval boundary, so every kept
+	// sample is an "iq" sample holding its own chunk of IQ windows.
+	const window = telTestWindow - 1_000
+	full := NewTelemetry(0)
+	runTelemetry(spec, cfg, window, full)
+
+	const tiny = 8
+	small := NewTelemetry(tiny)
+	m := NewMachine(spec, cfg)
+	m.RunWith(nil, window/2, RunOptions{Telemetry: small})
+	m.RunWith(nil, window-window/2, RunOptions{Telemetry: small})
+	for _, s := range small.Samples {
+		if s.Kind != "iq" {
+			t.Fatalf("kept a %q sample: move the window off the cache interval", s.Kind)
+		}
+	}
+
+	if !distinctIQBacking(full.Samples) || !distinctIQBacking(small.Samples) {
+		t.Fatal("live samples share IQ window storage")
+	}
+	// The second run appends after Seal without re-rotating, so compare
+	// in chronological order.
+	got := append([]TelemetrySample(nil), small.Samples...)
+	sort.SliceStable(got, func(i, j int) bool { return got[i].Instr < got[j].Instr })
+	if want := full.Samples[len(full.Samples)-tiny:]; !reflect.DeepEqual(got, want) {
+		t.Errorf("ring continued across runs does not hold the newest %d samples", tiny)
 	}
 }
 

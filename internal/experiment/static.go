@@ -96,7 +96,7 @@ func Figure3() *Table {
 	for i, c := range timing.ICacheConfigs() {
 		s := c.Spec()
 		idx, _ := timing.SyncICacheIndexByName(optNames[i])
-		opt := timing.SyncICacheSpecs()[idx]
+		opt := timing.SyncICacheSpecAt(idx)
 		t.AddRow(fmt.Sprintf("%d KB", s.SizeKB), s.Name, s.AdaptMHz/1000, opt.Name, opt.MHz/1000)
 	}
 	a := timing.ICache16K1W.Spec().AdaptMHz
@@ -104,7 +104,7 @@ func Figure3() *Table {
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("direct-mapped to 2-way frequency drop: %.0f%% (paper: ~31%%)", (1-b/a)*100))
 	i64, _ := timing.SyncICacheIndexByName("64k1W")
-	opt64 := timing.SyncICacheSpecs()[i64].MHz
+	opt64 := timing.SyncICacheSpecAt(i64).MHz
 	ad64 := timing.ICache64K4W.Spec().AdaptMHz
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("optimal 64KB DM is %.0f%% faster than adaptive 64KB 4-way (paper: 27%%)", (opt64/ad64-1)*100))

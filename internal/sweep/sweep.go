@@ -311,10 +311,9 @@ func SyncSpace() []core.Config {
 // Section 2.2), so pruned sweeps run ~3x faster; it is the single
 // definition behind every "quick" flag.
 func QuickSyncSpace() []core.Config {
-	specs := timing.SyncICacheSpecs()
 	var out []core.Config
 	for _, c := range SyncSpace() {
-		if specs[c.SyncICache].Assoc == 1 {
+		if timing.SyncICacheSpecAt(c.SyncICache).Assoc == 1 {
 			out = append(out, c)
 		}
 	}

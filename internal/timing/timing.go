@@ -223,7 +223,7 @@ type SyncICacheSpec struct {
 // so that direct-mapped organizations are markedly faster than set
 // associative ones at equal capacity (Section 2.2) and so the 64KB
 // direct-mapped entry is 27% faster than the adaptive 64KB 4-way.
-var syncICacheSpecs = []SyncICacheSpec{
+var syncICacheSpecs = [...]SyncICacheSpec{
 	{"4k1W", 4, 1, 2, BPredGeom{12, 4096, 4096, 10, 1024, 512}, 2100, 2},
 	{"8k1W", 8, 1, 4, BPredGeom{13, 8192, 8192, 10, 1024, 1024}, 1950, 2},
 	{"16k1W", 16, 1, 16, BPredGeom{14, 16384, 16384, 11, 2048, 1024}, 1770, 2},
@@ -242,13 +242,21 @@ var syncICacheSpecs = []SyncICacheSpec{
 	{"64k4W", 64, 4, 16, BPredGeom{16, 65536, 65536, 13, 8192, 1024}, 1050, 2},
 }
 
+// NumSyncICacheSpecs is the number of Table 3 rows.
+const NumSyncICacheSpecs = len(syncICacheSpecs)
+
 // SyncICacheSpecs returns all 16 optimized front-end organizations of
 // Table 3 (the fully synchronous design space sweeps every one of them).
+// It copies the table; single-row lookups use SyncICacheSpecAt.
 func SyncICacheSpecs() []SyncICacheSpec {
-	out := make([]SyncICacheSpec, len(syncICacheSpecs))
-	copy(out, syncICacheSpecs)
+	out := make([]SyncICacheSpec, NumSyncICacheSpecs)
+	copy(out, syncICacheSpecs[:])
 	return out
 }
+
+// SyncICacheSpecAt returns Table 3 row i by value without copying the
+// table. It panics if i is out of range, like indexing SyncICacheSpecs.
+func SyncICacheSpecAt(i int) SyncICacheSpec { return syncICacheSpecs[i] }
 
 // SyncICacheIndexByName finds a Table 3 row by its compact label.
 func SyncICacheIndexByName(name string) (int, bool) {
