@@ -355,12 +355,33 @@ func BenchmarkTraceReplay(b *testing.B) {
 
 // BenchmarkSimulatorPhaseAdaptiveRecorded is BenchmarkSimulatorPhaseAdaptive
 // on a recorded trace: the simulator cost with generation amortized away.
+// As the recording's first Phase-Adaptive run it takes the fused loop.
 func BenchmarkSimulatorPhaseAdaptiveRecorded(b *testing.B) {
 	spec, _ := workload.ByName("gcc")
 	rec := spec.Record(int64(b.N))
 	cfg := core.DefaultAdaptive(core.PhaseAdaptive)
 	cfg.PLLScale = 0.1
 	m := core.NewMachineSource(rec.Replay(), cfg)
+	b.ResetTimer()
+	m.Run(int64(b.N))
+}
+
+// BenchmarkSimulatorPhaseAdaptiveStream is BenchmarkSimulatorPhaseAdaptive
+// on a recording whose functional stream an earlier run already built:
+// what every later Phase-Adaptive run of a shared recording costs, the
+// timing model plus replay. The recording's first run takes the fused loop
+// (BenchmarkSimulatorPhaseAdaptiveRecorded) and its second builds the
+// stream.
+func BenchmarkSimulatorPhaseAdaptiveStream(b *testing.B) {
+	spec, _ := workload.ByName("gcc")
+	rec := spec.Record(int64(b.N))
+	cfg := core.DefaultAdaptive(core.PhaseAdaptive)
+	cfg.PLLScale = 0.1
+	for range 2 {
+		core.NewMachineSource(rec.Replay(), cfg).Run(int64(b.N))
+	}
+	m := core.NewMachineSource(rec.Replay(), cfg)
+	b.ReportAllocs()
 	b.ResetTimer()
 	m.Run(int64(b.N))
 }

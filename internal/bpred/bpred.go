@@ -11,6 +11,8 @@
 package bpred
 
 import (
+	"slices"
+
 	"gals/internal/timing"
 )
 
@@ -28,23 +30,15 @@ type Predictor struct {
 // New creates a predictor with the given geometry, with all counters in the
 // weakly-not-taken state and empty histories.
 func New(geom timing.BPredGeom) *Predictor {
-	p := &Predictor{
+	// slices.Repeat fills by doubling copies rather than an element loop,
+	// which matters for machines built per short run.
+	return &Predictor{
 		geom:      geom,
-		gshareBHT: make([]uint8, geom.GShareEntries),
-		metaBHT:   make([]uint8, geom.MetaEntries),
+		gshareBHT: slices.Repeat([]uint8{1}, geom.GShareEntries), // weakly not taken
+		metaBHT:   slices.Repeat([]uint8{2}, geom.MetaEntries),   // weakly prefer gshare
 		localPHT:  make([]uint16, geom.LocalPHTEntries),
-		localBHT:  make([]uint8, geom.LocalBHTEntries),
+		localBHT:  slices.Repeat([]uint8{1}, geom.LocalBHTEntries),
 	}
-	for i := range p.gshareBHT {
-		p.gshareBHT[i] = 1 // weakly not taken
-	}
-	for i := range p.localBHT {
-		p.localBHT[i] = 1
-	}
-	for i := range p.metaBHT {
-		p.metaBHT[i] = 2 // weakly prefer gshare
-	}
-	return p
 }
 
 // Geom returns the predictor's geometry.
@@ -156,6 +150,20 @@ func (b *Bank) Active() timing.ICacheConfig { return b.active }
 
 // Predict returns the active geometry's prediction for pc.
 func (b *Bank) Predict(pc uint64) bool { return b.preds[b.active].Predict(pc) }
+
+// Predictions returns every geometry's prediction for pc as a bit set: bit
+// i is the prediction of the geometry paired with I-cache configuration i.
+// Update trains all geometries on every branch, so these bits depend only
+// on the branch stream, never on which geometry is active.
+func (b *Bank) Predictions(pc uint64) uint8 {
+	var bits uint8
+	for i, p := range b.preds {
+		if p.Predict(pc) {
+			bits |= 1 << i
+		}
+	}
+	return bits
+}
 
 // Update trains every geometry with the branch outcome, keeping inactive
 // subarrays warm across reconfigurations.

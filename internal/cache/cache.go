@@ -23,6 +23,7 @@ package cache
 
 import (
 	"fmt"
+	"slices"
 
 	"gals/internal/timing"
 )
@@ -144,13 +145,10 @@ func New(geo Geometry) *AccountingCache {
 	}
 	c := &AccountingCache{
 		geo:      geo,
-		tags:     make([]uint64, geo.Sets*geo.Ways),
+		tags:     slices.Repeat([]uint64{invalidTag}, geo.Sets*geo.Ways),
 		dirty:    make([]bool, geo.Sets*geo.Ways),
 		waysA:    geo.Ways,
 		bEnabled: false,
-	}
-	for i := range c.tags {
-		c.tags[i] = invalidTag
 	}
 	c.stats.PosHits = make([]uint64, geo.Ways)
 	for lb := geo.LineBytes; lb > 1; lb >>= 1 {
@@ -255,6 +253,10 @@ func (c *AccountingCache) AccessPos(addr uint64, write bool) int {
 	return pos
 }
 
+// Writebacks returns the cumulative count of dirty evictions: comparing
+// it across an AccessPos tells whether that access caused a write-back.
+func (c *AccountingCache) Writebacks() uint64 { return c.stats.Writebacks }
+
 // ClassifyPos maps an AccessPos result to the timing class it would have
 // under a partitioning with waysA primary ways and the B partition enabled
 // or not. A position in a disabled way (pos >= waysA without B) is a miss
@@ -293,21 +295,56 @@ func (c *AccountingCache) Probe(addr uint64) (Class, bool) {
 }
 
 // Stats returns a copy of the interval statistics.
-func (c *AccountingCache) Stats() Stats {
-	s := c.stats
-	s.PosHits = append([]uint64(nil), c.stats.PosHits...)
-	return s
+func (c *AccountingCache) Stats() Stats { return c.stats.Clone() }
+
+// SetStats replaces the interval statistics with a copy of s, which must
+// have one PosHits counter per physical way. The parallel and streamed
+// machines keep the statistics outside the cache during a run and hand
+// them back with it when the run ends.
+func (c *AccountingCache) SetStats(s Stats) {
+	if len(s.PosHits) != c.geo.Ways {
+		panic(fmt.Sprintf("cache %s: %d position counters for %d ways", c.geo.Name, len(s.PosHits), c.geo.Ways))
+	}
+	ph := c.stats.PosHits
+	copy(ph, s.PosHits)
+	c.stats = s
+	c.stats.PosHits = ph
 }
 
 // ResetStats clears the interval statistics (the controller does this every
 // 15K-instruction interval).
-func (c *AccountingCache) ResetStats() {
-	for i := range c.stats.PosHits {
-		c.stats.PosHits[i] = 0
+func (c *AccountingCache) ResetStats() { c.stats.Reset() }
+
+// Count folds one access into the statistics as AccessPos does: pos is its
+// MRU position, or -1 for a directory miss, and writeback marks a dirty
+// eviction.
+func (s *Stats) Count(pos int, writeback bool) {
+	s.Accesses++
+	if pos < 0 {
+		s.DirMisses++
+	} else {
+		s.PosHits[pos]++
 	}
-	c.stats.DirMisses = 0
-	c.stats.Accesses = 0
-	// Writebacks is cumulative/informational and intentionally survives.
+	if writeback {
+		s.Writebacks++
+	}
+}
+
+// Clone returns a copy of s that shares no storage with it.
+func (s *Stats) Clone() Stats {
+	c := *s
+	c.PosHits = append([]uint64(nil), s.PosHits...)
+	return c
+}
+
+// Reset clears the interval counters. Writebacks is cumulative and
+// informational, so it survives.
+func (s *Stats) Reset() {
+	for i := range s.PosHits {
+		s.PosHits[i] = 0
+	}
+	s.DirMisses = 0
+	s.Accesses = 0
 }
 
 // CostParams describe one candidate configuration for the interval cost

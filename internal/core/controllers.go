@@ -83,8 +83,8 @@ func (m *Machine) record(kind reconfigKind, label string, index, from int) {
 }
 
 // configureI applies an I-cache partitioning: directly in sequential mode,
-// onto the timing stage's shadow configuration in parallel mode (the cache
-// object belongs to the functional stage for the duration of the run).
+// onto the timing stage's shadow configuration otherwise (the cache object
+// belongs to the functional stage for the duration of the run).
 func (m *Machine) configureI(waysA int, b bool) {
 	if p := m.par; p != nil {
 		p.setI(waysA, b)
@@ -103,23 +103,22 @@ func (m *Machine) configureD(waysA int, b bool) {
 	m.l2.Configure(waysA, b)
 }
 
-// cacheDecide snapshots one completed accounting interval (Section 3.1),
-// lets the policy decide, commits the decisions at commit time `now`, and
-// resets the interval statistics.
+// cacheDecide hands one completed accounting interval (Section 3.1) to the
+// policy, commits its decisions at commit time `now`, and starts the next
+// interval. The statistics come from the caches in the fused loop and from
+// the timing stage's own tally of the positions it consumed otherwise.
 func (m *Machine) cacheDecide(now timing.FS) {
-	st := parStats{i: m.icache.Stats(), d: m.dcache.Stats(), l2: m.l2.Stats()}
-	m.cacheDecideStats(now, &st)
-	m.icache.ResetStats()
-	m.dcache.ResetStats()
-	m.l2.ResetStats()
-}
-
-// cacheDecideStats is cacheDecide on an already-taken statistics snapshot —
-// the form the parallel machine uses, where the snapshot and reset happened
-// on the functional stage at this exact instruction.
-func (m *Machine) cacheDecideStats(now timing.FS, st *parStats) {
+	var st parStats
+	if p := m.par; p != nil {
+		st = p.intervalStats()
+	} else {
+		st = parStats{i: m.icache.Stats(), d: m.dcache.Stats(), l2: m.l2.Stats()}
+		m.icache.ResetStats()
+		m.dcache.ResetStats()
+		m.l2.ResetStats()
+	}
 	if t := m.tel; t != nil {
-		t.noteCacheInterval(m, st)
+		t.noteCacheInterval(m, &st)
 	}
 	obs := control.CacheObs{
 		ICache:      st.i,
@@ -145,7 +144,8 @@ func (m *Machine) iqDecide(now timing.FS) {
 }
 
 // iqDecideSamples is iqDecide on explicitly provided samples — the form the
-// parallel machine uses, where the tracker ran on the functional stage.
+// parallel and streamed machines use, where the tracker ran on the
+// functional stage.
 func (m *Machine) iqDecideSamples(now timing.FS, samples [4]queue.Sample) {
 	if t := m.tel; t != nil {
 		t.noteIQInterval(m, samples)

@@ -258,8 +258,9 @@ type Machine struct {
 	// structure/direction metric, folded once at result construction.
 	dirCounts [4][3]int64
 
-	// par is the intra-run parallel execution state; nil during sequential
-	// runs, making every parallel gate in step() one predictable branch.
+	// par is the timing stage's state when the functional work happens
+	// elsewhere (a parallel stage or a functional stream); nil in the fused
+	// loop, making every gate in step() one predictable branch.
 	par *parState
 }
 
@@ -452,14 +453,11 @@ func newMachine(src InstSource, cfg Config) *Machine {
 		// Adaptive geometry: physically maximal, partitioned by ways; the
 		// sets-resized front-end variant is direct mapped at the selected
 		// set count instead.
+		gi, gd, gl2 := adaptiveGeometry()
 		if cfg.ICacheBySets {
-			ss := cfg.ICache.SetsSpec()
-			m.icache = cache.New(cache.Geometry{Name: "L1I", Sets: ss.Sets, Ways: 1, LineBytes: LineBytes})
-		} else {
-			m.icache = cache.New(cache.Geometry{Name: "L1I", Sets: 16 * 1024 / LineBytes, Ways: 4, LineBytes: LineBytes})
+			gi = cache.Geometry{Name: "L1I", Sets: cfg.ICache.SetsSpec().Sets, Ways: 1, LineBytes: LineBytes}
 		}
-		m.dcache = cache.New(cache.Geometry{Name: "L1D", Sets: 32 * 1024 / LineBytes, Ways: 8, LineBytes: LineBytes})
-		m.l2 = cache.New(cache.Geometry{Name: "L2", Sets: 256 * 1024 / L2LineBytes, Ways: 8, LineBytes: L2LineBytes})
+		m.icache, m.dcache, m.l2 = cache.New(gi), cache.New(gd), cache.New(gl2)
 		ab := cfg.Mode == PhaseAdaptive
 		if !cfg.ICacheBySets {
 			m.icache.Configure(int(cfg.ICache)+1, ab)
@@ -490,6 +488,15 @@ func newMachine(src InstSource, cfg Config) *Machine {
 	m.fpMul = newFUPool(FPMulDivs)
 
 	return m
+}
+
+// adaptiveGeometry returns the adaptive machines' physically maximal
+// cache geometries, partitioned by ways: 16KB 4-way L1I, 32KB 8-way L1D,
+// 256KB 8-way L2.
+func adaptiveGeometry() (i, d, l2 cache.Geometry) {
+	return cache.Geometry{Name: "L1I", Sets: 16 * 1024 / LineBytes, Ways: 4, LineBytes: LineBytes},
+		cache.Geometry{Name: "L1D", Sets: 32 * 1024 / LineBytes, Ways: 8, LineBytes: LineBytes},
+		cache.Geometry{Name: "L2", Sets: 256 * 1024 / L2LineBytes, Ways: 8, LineBytes: L2LineBytes}
 }
 
 // dcacheWaysA maps a Table 1 configuration to the number of A-partition

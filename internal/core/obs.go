@@ -25,6 +25,10 @@ var (
 
 	telemetryRuns  atomic.Int64
 	telemetryBytes atomic.Int64
+
+	streamBuilds atomic.Int64
+	streamReuses atomic.Int64
+	streamBytes  atomic.Int64
 )
 
 // ReconfigCell keys the process-wide reconfiguration-event counters: one
@@ -158,3 +162,12 @@ func ReconfigsByPolicy() map[string]int64 {
 	}
 	return out
 }
+
+// FunctionalStreamBuilds reports how many runs in this process started a
+// recording's functional stream (stream.go); FunctionalStreamReuses how
+// many attached to one an earlier run started. FunctionalStreamBytes is
+// the heap size of the streams built so far whose recordings have not
+// been garbage collected.
+func FunctionalStreamBuilds() int64 { return streamBuilds.Load() }
+func FunctionalStreamReuses() int64 { return streamReuses.Load() }
+func FunctionalStreamBytes() int64  { return streamBytes.Load() }

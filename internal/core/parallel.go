@@ -4,13 +4,17 @@
 //
 // The decomposition leans on the Accounting Cache's defining property
 // (paper Section 3.1): MRU state evolution is configuration independent.
-// cache.AccessPos performs the full functional update and returns only the
-// MRU position; cache.ClassifyPos recovers the timing class for any
-// partitioning. A functional stage can therefore run arbitrarily far ahead
-// of the timing stage — it never needs to know the configuration in force
-// when the access is eventually timed. The timing stage classifies shipped
-// positions under *shadow* configurations that replicate, in exact commit
-// order, every Configure call the sequential machine would have made.
+// The functional stage (functional.go) performs every cache update,
+// tracker step and predictor update and ships only the outcomes: MRU
+// positions, prediction bits and tracker fires. It can therefore run
+// arbitrarily far ahead of the timing stage — it never needs to know the
+// configuration in force when the access is eventually timed. The timing
+// stage classifies shipped positions under *shadow* configurations that
+// replicate, in exact commit order, every Configure call the sequential
+// machine would have made, and tallies them into its own interval
+// histograms, so accounting-interval decisions need no traffic back to the
+// functional stage. The streamed machine (stream.go) drives the same
+// timing-stage access points from a recording's stored functional stream.
 //
 // Stage assignment by degree (requested degrees above 3 clamp to 3 — the
 // pipeline has no fourth stage to split out):
@@ -18,26 +22,13 @@
 //	degree 2:  [generate + functional] → [timing]
 //	degree 3:  [generate] → [functional] → [timing]
 //
-// The generate stage drives the instruction source. The functional stage
-// owns the three accounting caches and the ILP tracker; per instruction it
-// ships the MRU positions of the accesses the timing stage will need, the
-// tracker's interval-complete flag, and — at accounting-interval
-// boundaries — the cache statistics snapshot the controller consumes. The
-// timing stage is the caller's goroutine running the ordinary step() loop
-// with m.par-gated access points; it owns everything else: clocks, windows,
-// functional-unit pools, branch predictors, the controller, PLL draws and
-// all of Stats. One copy of the timing logic serves both modes.
-//
-// Whether the functional stage must also touch the L2 for a given L1 miss
-// is decided by a mode-dependent rule proven equivalent to the timing
-// stage's classification: in PhaseAdaptive mode every Configure call in the
-// machine passes bEnabled=true (forced false only when waysA equals the
-// physical way count, where no position can classify as Miss), so an access
-// misses iff its MRU position is -1; in the static modes the configuration
-// never changes after construction, so the run-start classification is
-// exact. Shipped sentinel positions are defensive: consuming one panics,
-// turning any violation of this invariant into a loud failure instead of a
-// silent divergence.
+// The timing stage is the caller's goroutine running the ordinary step()
+// loop with m.par-gated access points; it owns everything else: clocks,
+// windows, functional-unit pools, the controller, PLL draws and all of
+// Stats. One copy of the timing logic serves every mode. Shipped sentinel
+// positions are defensive: consuming one panics, turning any violation of
+// the functional stage's next-level access rule (funcStage.miss) into a
+// loud failure instead of a silent divergence.
 package core
 
 import (
@@ -88,25 +79,16 @@ const (
 	// parRingBatch is how many slots a ring cursor advances before it is
 	// published; batching keeps the per-instruction atomic traffic amortized.
 	parRingBatch = 64
-	// parNoAccess marks a position field whose access never happened.
-	// Consuming it is a pipeline-desync bug and panics.
-	parNoAccess = int8(-2)
 )
 
 // parRec is one instruction in flight between the functional and timing
-// stages: the decoded instruction plus the MRU positions of every cache
-// access the timing stage will classify, and the tracker's interval flag.
+// stages: the decoded instruction and its functional outcome.
 type parRec struct {
-	in   isa.Inst
-	iPos int8 // I-cache access position, or parNoAccess
-	iL2  int8 // L2 position of the I-side line fill, or parNoAccess
-	dPos int8 // D-cache access position (loads and stores), or parNoAccess
-	dL2  int8 // L2 position of the D-side line fill, or parNoAccess
-	fire bool // ILP tracker completed its interval at this instruction
+	in isa.Inst
+	funcOut
 }
 
-// parStats is one accounting-interval snapshot of the three caches, taken
-// by the functional stage at the exact boundary instruction.
+// parStats is one accounting-interval snapshot of the three caches.
 type parStats struct {
 	i, d, l2 cache.Stats
 }
@@ -268,32 +250,70 @@ func (r *spscRing[T]) pop() (T, bool) {
 // it at the loop boundary.
 type parAbort struct{}
 
-// parState is the per-run parallel execution state hung off Machine.par; a
-// nil par means sequential execution and every gate in step() compiles to
-// one predictable branch.
+// parState is the timing stage's view of a run whose functional work
+// happens elsewhere: on a pipeline stage (ring mode) or in a recording's
+// functional stream (stream mode, fs != nil). It is hung off Machine.par;
+// a nil par means the fused sequential loop, and every gate in step()
+// compiles to one predictable branch.
 type parState struct {
 	abort atomic.Bool
 
 	recs    *spscRing[parRec]          // functional → timing: instructions
 	gen     *spscRing[isa.Inst]        // generate → functional (degree 3)
 	samples *spscRing[[4]queue.Sample] // functional → timing: tracker fires
-	stats   *spscRing[parStats]        // functional → timing: interval snapshots
-	bounds  *spscRing[int64]           // timing → functional: next boundary count
 
-	// cur is the record the timing stage is currently executing.
+	// cur is the record the timing stage is currently executing (ring
+	// mode); fs is the stream cursor (stream mode).
 	cur *parRec
+	fs  *streamCursor
 
 	// Shadow configurations: the timing stage's view of the three caches'
 	// partitioning, updated wherever the sequential machine would call
 	// Configure. The cache objects themselves belong to the functional
-	// stage for the duration of the run.
+	// stage for the duration of the run, or sit unused while a stream
+	// stands in for them.
 	iWaysA, dWaysA, l2WaysA int
 	iB, dB, l2B             bool
 	iWays, dWays, l2Ways    int // physical way counts (the forcing rule)
 
+	// hist holds the interval statistics of the I-cache, D-cache and L2,
+	// tallied from the positions the timing stage consumes.
+	hist [3]cache.Stats
+
 	wg      sync.WaitGroup
 	panicMu sync.Mutex
 	panics  []any
+}
+
+// Indices into parState.hist.
+const (
+	histI = iota
+	histD
+	histL2
+)
+
+// newParState captures the caches' partitioning and interval statistics:
+// from here until foldPar the timing stage keeps both.
+func (m *Machine) newParState() *parState {
+	p := &parState{}
+	p.iWays, p.iWaysA, p.iB = m.icache.Geometry().Ways, m.icache.WaysA(), m.icache.BEnabled()
+	p.dWays, p.dWaysA, p.dB = m.dcache.Geometry().Ways, m.dcache.WaysA(), m.dcache.BEnabled()
+	p.l2Ways, p.l2WaysA, p.l2B = m.l2.Geometry().Ways, m.l2.WaysA(), m.l2.BEnabled()
+	p.hist = [3]cache.Stats{m.icache.Stats(), m.dcache.Stats(), m.l2.Stats()}
+	return p
+}
+
+// foldPar hands the timing stage's shadow configurations and interval
+// statistics back to the cache objects and detaches p, so the machine
+// continues exactly as a sequential run would.
+func (m *Machine) foldPar(p *parState) {
+	m.par = nil
+	m.icache.Configure(p.iWaysA, p.iB)
+	m.dcache.Configure(p.dWaysA, p.dB)
+	m.l2.Configure(p.l2WaysA, p.l2B)
+	m.icache.SetStats(p.hist[histI])
+	m.dcache.SetStats(p.hist[histD])
+	m.l2.SetStats(p.hist[histL2])
 }
 
 // setI mirrors icache.Configure onto the shadow, including the validation
@@ -328,25 +348,89 @@ func (p *parState) setD(waysA int, b bool) {
 	p.l2WaysA, p.l2B = waysA, lb
 }
 
-func (p *parState) classI(pos int8) cache.Class {
-	if pos == parNoAccess {
-		panic("core: parallel desync: I-cache class consumed with no shipped access")
+// class tallies one consumed access code into its interval histogram and
+// classifies it under a shadow configuration.
+func (p *parState) class(code int8, h int, waysA int, b bool) cache.Class {
+	if code == parNoAccess {
+		panic("core: functional/timing desync: cache class consumed with no recorded access")
 	}
-	return cache.ClassifyPos(int(pos), p.iWaysA, p.iB)
+	tally(&p.hist[h], code)
+	return cache.ClassifyPos(int(code), waysA, b)
 }
 
-func (p *parState) classD(pos int8) cache.Class {
-	if pos == parNoAccess {
-		panic("core: parallel desync: D-cache class consumed with no shipped access")
+// classI classifies the instruction's I-cache access.
+func (p *parState) classI() cache.Class {
+	var code int8
+	if s := p.fs; s != nil {
+		code = s.nextI()
+	} else {
+		code = p.cur.iPos
 	}
-	return cache.ClassifyPos(int(pos), p.dWaysA, p.dB)
+	return p.class(code, histI, p.iWaysA, p.iB)
 }
 
-func (p *parState) classL2(pos int8) cache.Class {
-	if pos == parNoAccess {
-		panic("core: parallel desync: L2 class consumed with no shipped access")
+// classD classifies the instruction's D-cache access.
+func (p *parState) classD() cache.Class {
+	var code int8
+	if s := p.fs; s != nil {
+		code = s.nextD()
+	} else {
+		code = p.cur.dPos
 	}
-	return cache.ClassifyPos(int(pos), p.l2WaysA, p.l2B)
+	return p.class(code, histD, p.dWaysA, p.dB)
+}
+
+// classL2I classifies the L2 access of the instruction's I-side line fill.
+func (p *parState) classL2I() cache.Class {
+	var code int8
+	if s := p.fs; s != nil {
+		code = s.nextL2()
+	} else {
+		code = p.cur.iL2
+	}
+	return p.class(code, histL2, p.l2WaysA, p.l2B)
+}
+
+// classL2D classifies the L2 access of the instruction's D-side line fill.
+func (p *parState) classL2D() cache.Class {
+	var code int8
+	if s := p.fs; s != nil {
+		code = s.nextL2()
+	} else {
+		code = p.cur.dL2
+	}
+	return p.class(code, histL2, p.l2WaysA, p.l2B)
+}
+
+// predicted returns the branch prediction of the predictor geometry with
+// index geom.
+func (p *parState) predicted(geom int) bool {
+	var bits uint8
+	if s := p.fs; s != nil {
+		bits = s.nextPred()
+	} else {
+		bits = p.cur.pred
+	}
+	return bits>>geom&1 != 0
+}
+
+// fired reports whether the ILP tracker completed an interval at the
+// instruction with 0-based index count.
+func (p *parState) fired(count int64) bool {
+	if s := p.fs; s != nil {
+		return s.fireAt == count
+	}
+	return p.cur.fire
+}
+
+// intervalStats hands the accounting-interval statistics to a decision
+// and starts the next interval.
+func (p *parState) intervalStats() parStats {
+	st := parStats{i: p.hist[histI].Clone(), d: p.hist[histD].Clone(), l2: p.hist[histL2].Clone()}
+	for i := range p.hist {
+		p.hist[i].Reset()
+	}
+	return st
 }
 
 // guard runs one worker stage, converting a panic into an abort that the
@@ -367,30 +451,15 @@ func (p *parState) guard(f func()) {
 // startParallel builds the rings and launches the worker stages. The
 // caller's goroutine becomes the timing stage.
 func (m *Machine) startParallel(n int64, degree int) *parState {
-	p := &parState{}
+	p := m.newParState()
 	p.recs = newRing[parRec](parRingCap, &p.abort)
 	p.samples = newRing[[4]queue.Sample](2048, &p.abort)
-	p.stats = newRing[parStats](64, &p.abort)
-	p.bounds = newRing[int64](8, &p.abort)
 
 	// Before the functional stage blocks on any secondary ring it must
 	// publish its produced instruction records — they are what lets the
 	// timing stage reach the point that unblocks it.
 	flushRecs := p.recs.flushProducer
 	p.samples.onProdWait = flushRecs
-	p.stats.onProdWait = flushRecs
-	p.bounds.onConsWait = flushRecs
-
-	p.iWays, p.iWaysA, p.iB = m.icache.Geometry().Ways, m.icache.WaysA(), m.icache.BEnabled()
-	p.dWays, p.dWaysA, p.dB = m.dcache.Geometry().Ways, m.dcache.WaysA(), m.dcache.BEnabled()
-	p.l2Ways, p.l2WaysA, p.l2B = m.l2.Geometry().Ways, m.l2.WaysA(), m.l2.BEnabled()
-
-	// Seed the functional stage's first accounting boundary (-1: never).
-	first := int64(-1)
-	if m.cacheEvery > 0 && !m.cfg.DisableCacheAdapt {
-		first = m.intervalStart + m.cacheEvery
-	}
-	p.bounds.push(first)
 
 	m.par = p
 	if degree >= 3 {
@@ -399,8 +468,9 @@ func (m *Machine) startParallel(n int64, degree int) *parState {
 		p.wg.Add(1)
 		go p.guard(func() { m.genLoop(p, n) })
 	}
+	f := m.newFuncStage()
 	p.wg.Add(1)
-	go p.guard(func() { m.funcLoop(p, n) })
+	go p.guard(func() { m.funcLoop(p, &f, n) })
 	return p
 }
 
@@ -421,39 +491,10 @@ func (m *Machine) genLoop(p *parState, n int64) {
 	g.flushProducer()
 }
 
-// funcLoop is the functional stage: it evolves the three accounting caches
-// and the ILP tracker in exact instruction order, shipping per-access MRU
-// positions and interval events to the timing stage.
-func (m *Machine) funcLoop(p *parState, n int64) {
-	icache, dcache, l2 := m.icache, m.dcache, m.l2
-	tracker := m.tracker
-	trackIQ := tracker != nil && !m.cfg.DisableIQAdapt
-	phase := m.cfg.Mode == PhaseAdaptive
-
-	// Static-mode classification state for the L2-occurrence rule; in
-	// PhaseAdaptive mode the rule is simply pos < 0 (see package comment).
-	iW, iB := icache.WaysA(), icache.BEnabled()
-	dW, dB := dcache.WaysA(), dcache.BEnabled()
-
-	// miss reports whether the timing stage will classify this position as
-	// a Miss — i.e. whether the next-level access happens functionally.
-	miss := func(pos, waysA int, b bool) bool {
-		if phase {
-			return pos < 0
-		}
-		return cache.ClassifyPos(pos, waysA, b) == cache.Miss
-	}
-
-	// Replica of the timing stage's fetch-group state machine (a pure
-	// function of the PC stream), deciding when the I-cache is accessed.
-	var curLine uint64
-	lineLeft := 0
-
-	nextB, ok := p.bounds.pop()
-	if !ok {
-		return
-	}
-
+// funcLoop is the functional stage: it runs f over the instruction stream
+// in exact order, shipping each outcome and the tracker's samples to the
+// timing stage.
+func (m *Machine) funcLoop(p *parState, f *funcStage, n int64) {
 	for count := int64(1); count <= n; count++ {
 		if p.abort.Load() {
 			return
@@ -472,66 +513,11 @@ func (m *Machine) funcLoop(p *parState, n int64) {
 		} else {
 			m.trace.Next(&rec.in)
 		}
-		in := &rec.in
-		rec.iPos, rec.iL2, rec.dPos, rec.dL2, rec.fire = parNoAccess, parNoAccess, parNoAccess, parNoAccess, false
-
-		// Fetch: a new line accesses the I-cache (and the L2 on a miss).
-		line := in.PC >> 6
-		if line != curLine || lineLeft == 0 {
-			if line != curLine {
-				pos := icache.AccessPos(in.PC, false)
-				rec.iPos = int8(pos)
-				if miss(pos, iW, iB) {
-					rec.iL2 = int8(l2.AccessPos(in.PC&^uint64(L2LineBytes-1), false))
-				}
-			}
-			curLine = line
-			lineLeft = DecodeWidth
-		}
-		lineLeft--
-
-		// ILP tracking at rename.
-		if trackIQ && tracker.Observe(in) {
-			if !p.samples.push(tracker.Samples()) {
-				return
-			}
-			tracker.Reset()
-			rec.fire = true
-		}
-
-		// Memory operations: L1D access, L2 on a (timed) miss. Stores are
-		// write-allocate through the L2, matching execStore.
-		switch in.Class {
-		case isa.Load:
-			pos := dcache.AccessPos(in.Addr, false)
-			rec.dPos = int8(pos)
-			if miss(pos, dW, dB) {
-				rec.dL2 = int8(l2.AccessPos(in.Addr, false))
-			}
-		case isa.Store:
-			pos := dcache.AccessPos(in.Addr, true)
-			rec.dPos = int8(pos)
-			if miss(pos, dW, dB) {
-				rec.dL2 = int8(l2.AccessPos(in.Addr, true))
-			}
+		f.step(&rec.in, &rec.funcOut)
+		if rec.fire && !p.samples.push(f.samples) {
+			return
 		}
 		p.recs.advance()
-
-		// Accounting-interval boundary: snapshot and reset at the exact
-		// instruction the timing stage will decide on, then learn the next
-		// boundary (published by the timing stage after its decision).
-		if count == nextB {
-			if !p.stats.push(parStats{i: icache.Stats(), d: dcache.Stats(), l2: l2.Stats()}) {
-				return
-			}
-			icache.ResetStats()
-			dcache.ResetStats()
-			l2.ResetStats()
-			nextB, ok = p.bounds.pop()
-			if !ok {
-				return
-			}
-		}
 	}
 	p.recs.flushProducer()
 }
@@ -539,36 +525,14 @@ func (m *Machine) funcLoop(p *parState, n int64) {
 // popSamples hands the timing stage the tracker samples for a fired
 // interval; called from step() at the firing instruction's rename.
 func (p *parState) popSamples() [4]queue.Sample {
+	if s := p.fs; s != nil {
+		return s.popSamples()
+	}
 	s, ok := p.samples.pop()
 	if !ok {
 		panic(parAbort{})
 	}
 	return s
-}
-
-// popStats hands the timing stage the cache statistics snapshot for the
-// accounting boundary it just reached.
-func (p *parState) popStats() parStats {
-	s, ok := p.stats.pop()
-	if !ok {
-		panic(parAbort{})
-	}
-	return s
-}
-
-// publishBoundary tells the functional stage the next accounting boundary
-// (in committed instructions; -1 means none will ever come).
-func (p *parState) publishBoundary(count int64) {
-	p.bounds.push(count) // only fails on abort, which unwinds elsewhere
-}
-
-// nextBoundary computes the instruction count of the next accounting
-// decision from the just-re-read interval, or -1 when decisions are off.
-func (m *Machine) nextBoundary() int64 {
-	if m.cacheEvery > 0 && !m.cfg.DisableCacheAdapt {
-		return m.intervalStart + m.cacheEvery
-	}
-	return -1
 }
 
 // runParallel is RunWith at degree 2 or 3: it drives the timing stage on
@@ -608,7 +572,7 @@ func (m *Machine) runParallel(ctx context.Context, n int64, degree int) (*Result
 	}()
 
 	p.wg.Wait()
-	m.par = nil
+	m.foldPar(p)
 	if timingPanic != nil {
 		panic(timingPanic)
 	}
@@ -618,12 +582,6 @@ func (m *Machine) runParallel(ctx context.Context, n int64, degree int) (*Result
 	if err != nil {
 		return nil, err
 	}
-
-	// Fold the final shadow configurations back onto the cache objects so
-	// the post-run machine state matches a sequential run's.
-	m.icache.Configure(p.iWaysA, p.iB)
-	m.dcache.Configure(p.dWaysA, p.dB)
-	m.l2.Configure(p.l2WaysA, p.l2B)
 
 	noteParallelRun(degree)
 	return m.result(), nil

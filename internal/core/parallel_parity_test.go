@@ -127,14 +127,16 @@ func TestParityParallelFuzz(t *testing.T) {
 
 // TestParityParallelRecordedReplay pins replay equivalence: a parallel run
 // over a recorded source must equal a sequential run over the same
-// recording (and, transitively, the live run that produced it).
+// recording (and, transitively, the live run that produced it). Both hide
+// the replay, so they run the fused loop and the ring pipeline rather than
+// the recording's functional stream.
 func TestParityParallelRecordedReplay(t *testing.T) {
 	spec := bench(t, "em3d")
 	cfg := parityCfg()
 	const n = 40_000
 	rec := spec.Record(n)
-	seq := RunSource(rec.Replay(), cfg, n)
-	par, _ := NewMachineSource(rec.Replay(), cfg).RunWith(nil, n, RunOptions{Degree: 3})
+	seq := RunSource(fused{rec.Replay()}, cfg, n)
+	par, _ := NewMachineSource(fused{rec.Replay()}, cfg).RunWith(nil, n, RunOptions{Degree: 3})
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatalf("parallel replay diverged: seq time=%d par time=%d", seq.TimeFS, par.TimeFS)
 	}

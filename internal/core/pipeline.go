@@ -90,10 +90,10 @@ func (m *Machine) dcacheLatencies() (int, int, int, int) {
 
 // l2AccessI performs the unified-L2 access for an I-side line fill: the
 // functional access live in sequential mode, classification of the shipped
-// MRU position under the shadow configuration in parallel mode.
+// or streamed MRU position under the shadow configuration otherwise.
 func (m *Machine) l2AccessI(addr uint64, t timing.FS) timing.FS {
 	if p := m.par; p != nil {
-		return m.l2Timed(p.classL2(p.cur.iL2), t)
+		return m.l2Timed(p.classL2I(), t)
 	}
 	return m.l2Timed(m.l2.Access(addr, false), t)
 }
@@ -102,7 +102,7 @@ func (m *Machine) l2AccessI(addr uint64, t timing.FS) timing.FS {
 // write-allocates).
 func (m *Machine) l2AccessD(addr uint64, t timing.FS, write bool) timing.FS {
 	if p := m.par; p != nil {
-		return m.l2Timed(p.classL2(p.cur.dL2), t)
+		return m.l2Timed(p.classL2D(), t)
 	}
 	return m.l2Timed(m.l2.Access(addr, write), t)
 }
@@ -154,7 +154,7 @@ func (m *Machine) step(in *isa.Inst) {
 			aLat, bLat := m.icacheLatencies()
 			var icls cache.Class
 			if p := m.par; p != nil {
-				icls = p.classI(p.cur.iPos)
+				icls = p.classI()
 			} else {
 				icls = m.icache.Access(in.PC, false)
 			}
@@ -213,11 +213,12 @@ func (m *Machine) step(in *isa.Inst) {
 	m.renameBW.push(rn)
 	m.fetchQ.push(rn)
 
-	// ILP tracking happens at rename (Section 3.2). In parallel mode the
-	// functional stage ran the tracker; a fired interval's samples arrive
-	// through the ring and the decision commits here, at the same point.
+	// ILP tracking happens at rename (Section 3.2). In parallel and
+	// streamed runs the functional stage ran the tracker; a fired
+	// interval's samples arrive with it and the decision commits here, at
+	// the same point.
 	if p := m.par; p != nil {
-		if p.cur.fire {
+		if p.fired(m.count) {
 			m.iqDecideSamples(rn, p.popSamples())
 		}
 	} else if m.tracker != nil && !m.cfg.DisableIQAdapt {
@@ -292,22 +293,11 @@ func (m *Machine) step(in *isa.Inst) {
 	}
 	if m.cacheEvery > 0 && !m.cfg.DisableCacheAdapt &&
 		m.count-m.intervalStart >= m.cacheEvery {
-		if p := m.par; p != nil {
-			// The functional stage snapshotted and reset the caches at this
-			// exact instruction; decide on its snapshot, then tell it when
-			// the next boundary falls.
-			st := p.popStats()
-			m.cacheDecideStats(c, &st)
-			m.intervalStart = m.count
-			m.cacheEvery = m.ctl.CacheInterval()
-			p.publishBoundary(m.nextBoundary())
-		} else {
-			m.cacheDecide(c)
-			m.intervalStart = m.count
-			// Closed-loop policies may retune their own cadence between
-			// intervals (the paper's controllers return a constant).
-			m.cacheEvery = m.ctl.CacheInterval()
-		}
+		m.cacheDecide(c)
+		m.intervalStart = m.count
+		// Closed-loop policies may retune their own cadence between
+		// intervals (the paper's controllers return a constant).
+		m.cacheEvery = m.ctl.CacheInterval()
 	}
 }
 
@@ -354,7 +344,13 @@ func (m *Machine) execCompute(in *isa.Inst, dom clock.Domain) timing.FS {
 func (m *Machine) resolveBranch(in *isa.Inst, resolve timing.FS) {
 	m.stats.Branches++
 	var pred bool
-	if m.cfg.Mode == Synchronous {
+	if p := m.par; p != nil {
+		geom := 0
+		if m.bank != nil {
+			geom = int(m.bank.Active())
+		}
+		pred = p.predicted(geom)
+	} else if m.cfg.Mode == Synchronous {
 		pred = m.syncPred.Predict(in.PC)
 		m.syncPred.Update(in.PC, in.Taken)
 	} else {
@@ -396,7 +392,7 @@ func (m *Machine) execLoad(in *isa.Inst) timing.FS {
 	var done timing.FS
 	var dcls cache.Class
 	if p := m.par; p != nil {
-		dcls = p.classD(p.cur.dPos)
+		dcls = p.classD()
 	} else {
 		dcls = m.dcache.Access(in.Addr, false)
 	}
@@ -437,7 +433,7 @@ func (m *Machine) execStore(in *isa.Inst) timing.FS {
 	m.dports.push(ready)
 	var scls cache.Class
 	if p := m.par; p != nil {
-		scls = p.classD(p.cur.dPos)
+		scls = p.classD()
 	} else {
 		scls = m.dcache.Access(in.Addr, true)
 	}
@@ -478,16 +474,25 @@ func storeHash(dword uint64) int {
 
 // Run executes n instructions and returns the result.
 func (m *Machine) Run(n int64) *Result {
+	m.useStream(n)
 	m.steps(n)
 	return m.result()
 }
 
-// steps executes n instructions from the machine's own source.
+// steps executes n instructions from the machine's own source, a stream
+// chunk at a time when the run is streamed.
 func (m *Machine) steps(n int64) {
 	var in isa.Inst
-	for i := int64(0); i < n; i++ {
-		m.trace.Next(&in)
-		m.step(&in)
+	for n > 0 {
+		k := n
+		if p := m.par; p != nil {
+			k = min(k, p.fs.load(m.count))
+		}
+		for i := int64(0); i < k; i++ {
+			m.trace.Next(&in)
+			m.step(&in)
+		}
+		n -= k
 	}
 }
 
@@ -516,7 +521,9 @@ const cancelQuantum = 10_000
 type RunOptions struct {
 	// Degree is the intra-run parallelism: <= 1 runs sequentially, 2 and 3
 	// split the run into pipeline stages (see parallel.go), and larger
-	// values clamp to 3. ParallelDegree resolves "auto" requests.
+	// values clamp to 3. ParallelDegree resolves "auto" requests. A
+	// streamed run (stream.go) has only its timing stage left to run and
+	// ignores it.
 	Degree int
 	// Telemetry, when non-nil, records the run's adaptation series; it is
 	// sealed and readable once the run returns.
@@ -535,13 +542,13 @@ func (m *Machine) RunWith(ctx context.Context, n int64, o RunOptions) (*Result, 
 	if ctx != nil && ctx.Err() != nil {
 		return nil, ctx.Err()
 	}
-	if degree := min(o.Degree, maxParallelDegree); degree > 1 {
+	streamed := m.useStream(n)
+	if degree := min(o.Degree, maxParallelDegree); degree > 1 && !streamed {
 		return m.runParallel(ctx, n, degree)
 	}
 	if ctx == nil {
-		return m.Run(n), nil
-	}
-	if err := runQuanta(ctx, n, m.steps); err != nil {
+		m.steps(n)
+	} else if err := runQuanta(ctx, n, m.steps); err != nil {
 		return nil, err
 	}
 	return m.result(), nil

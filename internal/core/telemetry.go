@@ -249,7 +249,7 @@ func intervalIPC(dInstr int64, dTime timing.FS) float64 {
 
 // noteCacheInterval records one completed accounting interval: the shared
 // state plus the interval's reconstructed hit/miss counts for the
-// configuration it ran under. Called by cacheDecideStats before the policy
+// configuration it ran under. Called by cacheDecide before the policy
 // decides, so the sample reflects exactly what the policy saw.
 func (t *Telemetry) noteCacheInterval(m *Machine, st *parStats) {
 	t.trigger = "cache-interval"

@@ -93,6 +93,9 @@ func NewTrackerSizes(sizes [4]int) *Tracker {
 	return t
 }
 
+// Sizes returns the tracked window sizes.
+func (t *Tracker) Sizes() [4]int { return t.sizes }
+
 // Reset clears timestamps and counters, beginning a new tracking interval.
 func (t *Tracker) Reset() {
 	for i := range t.ts {

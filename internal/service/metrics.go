@@ -155,6 +155,17 @@ func (s *Service) initMetrics() {
 	r.NewGaugeFunc("gals_sim_parallel_degree",
 		"Stage-pipeline degree of the most recent parallel run (0 = none yet).",
 		func() float64 { return float64(core.SimParallelDegree()) })
+	r.NewFunc("gals_functional_streams_total",
+		"Phase-Adaptive runs over a recording's functional stream, by event: build (the run started the stream) or reuse.",
+		"counter", func() []metrics.Sample {
+			return []metrics.Sample{
+				{Labels: []metrics.Label{{Key: "event", Value: "build"}}, Value: float64(core.FunctionalStreamBuilds())},
+				{Labels: []metrics.Label{{Key: "event", Value: "reuse"}}, Value: float64(core.FunctionalStreamReuses())},
+			}
+		})
+	r.NewGaugeFunc("gals_functional_stream_bytes",
+		"Heap bytes held by the functional streams of recordings not yet garbage collected.",
+		func() float64 { return float64(core.FunctionalStreamBytes()) })
 	s.runSeconds = r.NewHistogramVec("gals_run_seconds",
 		"Single-run simulation wall time by execution mode (sequential | parallel); recording time excluded.", "mode", nil)
 	r.NewFunc("gals_reconfigurations_total",

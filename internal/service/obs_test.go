@@ -115,6 +115,9 @@ func TestMetricsMatchStats(t *testing.T) {
 	var run RunResult
 	doJSON(t, http.MethodPost, srv.URL+"/v1/run", body, &run)
 	doJSON(t, http.MethodPost, srv.URL+"/v1/run", body, &run)
+	// A second cold phase run of the same recording starts its functional
+	// stream.
+	doJSON(t, http.MethodPost, srv.URL+"/v1/run", `{"bench": "gcc", "window": 3000, "seed": 7}`, &run)
 
 	var st Stats
 	doJSON(t, http.MethodGet, srv.URL+"/v1/stats", "", &st)
@@ -157,6 +160,39 @@ func TestMetricsMatchStats(t *testing.T) {
 		if int64(v) != p.stat {
 			t.Errorf("%s = %v but /v1/stats reports %d", p.series, v, p.stat)
 		}
+	}
+
+	if st.FunctionalStreamBuilds < 1 {
+		t.Errorf("functional_stream_builds = %d after two cold phase runs of one recording, want >= 1", st.FunctionalStreamBuilds)
+	}
+	for _, p := range []struct {
+		event string
+		stat  int64
+	}{{"build", st.FunctionalStreamBuilds}, {"reuse", st.FunctionalStreamReuses}} {
+		v, ok := sc.Value("gals_functional_streams_total", metrics.Label{Key: "event", Value: p.event})
+		if !ok || int64(v) != p.stat {
+			t.Errorf("gals_functional_streams_total{event=%s} = %v (present %v) but /v1/stats reports %d", p.event, v, ok, p.stat)
+		}
+	}
+	// The resident-bytes gauge drops whenever a garbage-collected
+	// recording's stream is released, which can happen between any two
+	// reads; compare it only across a window in which /v1/stats saw it
+	// hold still.
+	for attempt := 0; ; attempt++ {
+		var before, after Stats
+		doJSON(t, http.MethodGet, srv.URL+"/v1/stats", "", &before)
+		v, ok := scrape(t, srv.URL).Value("gals_functional_stream_bytes")
+		doJSON(t, http.MethodGet, srv.URL+"/v1/stats", "", &after)
+		if before.FunctionalStreamBytes != after.FunctionalStreamBytes && attempt < 10 {
+			continue
+		}
+		if !ok || int64(v) != after.FunctionalStreamBytes {
+			t.Errorf("gals_functional_stream_bytes = %v (present %v) but /v1/stats reports %d", v, ok, after.FunctionalStreamBytes)
+		}
+		if after.FunctionalStreamBytes <= 0 {
+			t.Errorf("functional_stream_bytes = %d with a live stream, want > 0", after.FunctionalStreamBytes)
+		}
+		break
 	}
 }
 

@@ -1336,6 +1336,14 @@ type Stats struct {
 	// same simulator-boundary atomics as /metrics.
 	TelemetryRuns  int64 `json:"telemetry_runs"`
 	TelemetryBytes int64 `json:"telemetry_bytes"`
+	// FunctionalStreamBuilds counts Phase-Adaptive runs that started a
+	// recording's functional stream (its configuration-independent work,
+	// kept with the recording); FunctionalStreamReuses the runs that
+	// attached to an existing one; FunctionalStreamBytes the heap the
+	// streams of live recordings hold. Process-wide, like /metrics.
+	FunctionalStreamBuilds int64 `json:"functional_stream_builds"`
+	FunctionalStreamReuses int64 `json:"functional_stream_reuses"`
+	FunctionalStreamBytes  int64 `json:"functional_stream_bytes"`
 	// Cache reports the persistent cache's counters; CacheDir its root
 	// ("" when persistence is disabled).
 	Cache    resultcache.Stats `json:"cache"`
@@ -1368,8 +1376,12 @@ func (s *Service) Stats() Stats {
 		ScrubQuarantined:   s.quarantined.Load(),
 		TelemetryRuns:      core.TelemetryRuns(),
 		TelemetryBytes:     core.TelemetryBytes(),
-		Cache:              s.cache.Stats(),
-		CacheDir:           s.cache.Dir(),
+
+		FunctionalStreamBuilds: core.FunctionalStreamBuilds(),
+		FunctionalStreamReuses: core.FunctionalStreamReuses(),
+		FunctionalStreamBytes:  core.FunctionalStreamBytes(),
+		Cache:                  s.cache.Stats(),
+		CacheDir:               s.cache.Dir(),
 	}
 	if s.recs != nil {
 		st.Recordings = s.recs.Stats()

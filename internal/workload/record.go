@@ -29,6 +29,9 @@ type Recording struct {
 	insts []isa.Inst // decoded slab (nil when raw-backed)
 	raw   []byte     // encoded slab (mmap or heap backed; nil when decoded)
 	count int64
+
+	derivedMu sync.Mutex
+	derived   map[any]any // see Derived
 }
 
 // Record captures the first n instructions of the benchmark's deterministic
@@ -80,6 +83,27 @@ func (r *Recording) Spec() Spec { return r.spec }
 // Len returns the number of recorded instructions.
 func (r *Recording) Len() int64 { return r.count }
 
+// Derived returns the value kept with the recording under key, calling mk
+// to create it on first use; created reports whether this call did. It
+// lets the layers above keep data computed from the recorded instructions
+// (the simulator's functional streams) with the recording itself, so the
+// data is shared by every run of the recording and lives exactly as long
+// as it does. Safe for concurrent use: mk runs at most once per key, under
+// a lock, so it should only allocate and leave the work to the value.
+func (r *Recording) Derived(key any, mk func() any) (v any, created bool) {
+	r.derivedMu.Lock()
+	defer r.derivedMu.Unlock()
+	if v, ok := r.derived[key]; ok {
+		return v, false
+	}
+	if r.derived == nil {
+		r.derived = make(map[any]any)
+	}
+	v = mk()
+	r.derived[key] = v
+	return v, true
+}
+
 // Replay returns a fresh cursor over the recording. Replays are cheap;
 // create one per simulation run.
 func (r *Recording) Replay() *Replay { return &Replay{rec: r} }
@@ -107,6 +131,9 @@ type Replay struct {
 
 // Spec returns the benchmark description.
 func (p *Replay) Spec() Spec { return p.rec.spec }
+
+// Recording returns the recording the cursor replays.
+func (p *Replay) Recording() *Recording { return p.rec }
 
 // Count returns the number of instructions replayed so far.
 func (p *Replay) Count() int64 { return p.pos }
