@@ -201,30 +201,6 @@ func BenchmarkSimulatorPhaseAdaptiveContext(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulatorPhaseAdaptiveParallel2/3 run the same machine through
-// the stage-parallel pipeline (degree 2: [generate+functional] -> [timing];
-// degree 3: [generate] -> [functional] -> [timing]). On a multi-core host
-// the wall time approaches the bottleneck stage (timing); on a single core
-// these measure the pipeline's overhead over sequential execution. Results
-// are bit-identical either way (see TestParityParallel*).
-func BenchmarkSimulatorPhaseAdaptiveParallel2(b *testing.B) {
-	benchParallel(b, 2)
-}
-
-func BenchmarkSimulatorPhaseAdaptiveParallel3(b *testing.B) {
-	benchParallel(b, 3)
-}
-
-func benchParallel(b *testing.B, degree int) {
-	b.Helper()
-	spec, _ := workload.ByName("gcc")
-	cfg := core.DefaultAdaptive(core.PhaseAdaptive)
-	cfg.PLLScale = 0.1
-	m := core.NewMachine(spec, cfg)
-	b.ResetTimer()
-	m.RunWith(nil, int64(b.N), core.RunOptions{Degree: degree})
-}
-
 // BenchmarkTelemetryOverhead pins the telemetry sampler's A/B contract:
 // a machine with no sampler attached (the default) must run within ~1% of
 // the pre-telemetry baseline, and the cost with a sampler attached must be
@@ -276,12 +252,10 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 func nowNS() int64 { return time.Now().UnixNano() }
 
 // BenchmarkStageFunctional isolates the functional stage's per-instruction
-// cost (cache-hierarchy accesses + ILP tracking) the way the parallel
-// machine's middle stage runs it: positions only, no timing model. With
-// BenchmarkTraceGeneration (generate) and BenchmarkSimulatorPhaseAdaptive
-// (all three stages fused), this decomposes the sequential budget into the
-// stage costs that bound parallel wall time; PERFORMANCE.md's scaling
-// table derives from these.
+// cost (cache-hierarchy accesses + ILP tracking): positions only, no
+// timing model. With BenchmarkTraceGeneration (generate) and
+// BenchmarkSimulatorPhaseAdaptive (all three stages fused), this
+// decomposes the sequential budget into its stage costs.
 func BenchmarkStageFunctional(b *testing.B) {
 	// The adaptive machine's geometries (core/machine.go): 64KB 4-way L1I,
 	// 32KB 8-way L1D, 256KB 8-way L2.

@@ -65,7 +65,6 @@ func main() {
 		accessLog = flag.Bool("access-log", false, "write one JSON access-log line per request to stderr")
 		traceDir  = flag.String("trace-dir", "", "dump a span-trace JSON file per run/sweep/suite request into this directory")
 		ckptEvery = flag.Duration("checkpoint-interval", 15*time.Second, "persist sweep/suite progress checkpoints this often so a killed server resumes warm (0 disables)")
-		runPar    = flag.Bool("run-parallel", false, "let runs use idle workers for intra-run stage parallelism (bit-identical results, lower single-run latency on a quiet server)")
 		telCap    = flag.Int("telemetry-cap", 0, "per-run telemetry ring capacity for runs requesting \"telemetry\":true — oldest samples/events are dropped beyond it (0 = default 4096)")
 		scrub     = flag.Bool("scrub", true, "run a startup-recovery pass over the cache before serving: reap crashed-writer temp/lock files, quarantine undecodable blobs, drop invalid recording slabs, GC stale checkpoints")
 	)
@@ -112,8 +111,7 @@ func main() {
 		CacheMaxBytes: *maxBytes, AuthToken: *token,
 		RequestTimeout: *reqTO, RateLimit: *rateLimit, RateBurst: *rateBurst,
 		EnablePprof: *pprofOn, AccessLog: logW, TraceDir: *traceDir,
-		CheckpointEvery: *ckptEvery, RunParallel: *runPar,
-		TelemetryCap: *telCap,
+		CheckpointEvery: *ckptEvery, TelemetryCap: *telCap,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "galsd:", err)

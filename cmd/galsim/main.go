@@ -57,7 +57,6 @@ func main() {
 		polBlob = flag.String("policy-blob", "", "weights-artifact file for blob-requiring policies (e.g. learned; see -train-policy)")
 		trainTo = flag.String("train-policy", "", "run the learned-policy training pipeline at the -n window and write the weights artifact to this file, then exit")
 		listPol = flag.Bool("list-policies", false, "list adaptation policies and exit")
-		par     = flag.Int("parallel", 1, "intra-run parallelism degree: 1 = sequential, 0 = auto (CPU count), capped at the machine's stage depth; results are bit-identical at any degree")
 		telFile = flag.String("telemetry", "", "record run telemetry (per-interval adaptation series) and write it to this file: .csv writes a flat samples+events table, anything else the JSON artifact")
 		telPlot = flag.Bool("telemetry-plot", false, "record run telemetry and print a Figure-7-style ASCII adaptation timeline (combinable with -telemetry)")
 	)
@@ -94,10 +93,6 @@ func main() {
 	}
 	if !(*pll >= 0) {
 		fmt.Fprintf(os.Stderr, "galsim: -pllscale must be >= 0, got %g\n", *pll)
-		os.Exit(2)
-	}
-	if *par < 0 {
-		fmt.Fprintf(os.Stderr, "galsim: -parallel must be >= 0 (0 = auto), got %d\n", *par)
 		os.Exit(2)
 	}
 
@@ -187,11 +182,10 @@ func main() {
 
 	var tel *core.Telemetry
 	if *telFile != "" || *telPlot {
-		// The sampler rides the timing stage, so -parallel records the
-		// identical series; a nil sampler makes this a plain run.
+		// A nil sampler makes this a plain run.
 		tel = core.NewTelemetry(core.DefaultTelemetryCap)
 	}
-	res, err := core.NewMachine(spec, cfg).RunWith(context.Background(), *n, core.RunOptions{Degree: core.ParallelDegree(*par), Telemetry: tel})
+	res, err := core.NewMachine(spec, cfg).RunWith(context.Background(), *n, core.RunOptions{Telemetry: tel})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "galsim:", err)
 		os.Exit(1)

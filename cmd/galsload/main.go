@@ -70,8 +70,8 @@ func main() {
 		galsdBin    = flag.String("galsd-bin", "galsd", "galsd binary for -launch")
 		assert      = flag.Bool("assert", false, "exit non-zero unless the /metrics scrape shows non-zero latency, cache-hit and completed-cell series")
 		killAfter   = flag.Duration("kill-after", 0, "restart drill: SIGKILL the -launch'ed galsd this long into a suite, relaunch it on the same cache and report resume efficiency (0 disables)")
-		latency     = flag.Bool("latency", false, "single-run latency drill: p50/p95/p99 of cold and warm /v1/run on a sequential and a -run-parallel galsd (needs -launch; -requests sets samples per cell)")
-		warmP95     = flag.Duration("assert-warm-p95", 0, "with -latency -assert: fail when either server's warm p95 exceeds this bound (0 = no bound)")
+		latency     = flag.Bool("latency", false, "single-run latency drill: p50/p95/p99 of cold and warm /v1/run on a launched galsd (needs -launch; -requests sets samples per cell)")
+		warmP95     = flag.Duration("assert-warm-p95", 0, "with -latency -assert: fail when the warm p95 exceeds this bound (0 = no bound)")
 	)
 	flag.Parse()
 
@@ -81,7 +81,7 @@ func main() {
 	}
 	if *latency {
 		if !*launch {
-			fmt.Fprintln(os.Stderr, "galsload: -latency needs -launch (the drill compares two server configurations it must own)")
+			fmt.Fprintln(os.Stderr, "galsload: -latency needs -launch (the drill must own a quiet server)")
 			os.Exit(2)
 		}
 		if !latencyDrill(os.Stdout, *galsdBin, *token, *window, *seed, *requests, *assert, *warmP95) {
@@ -563,8 +563,8 @@ func killDrill(w io.Writer, bin, token string, killAfter time.Duration, window, 
 	return len(dead) == 0
 }
 
-// latencyCell is one (server config, temperature) cell of the latency
-// drill: sorted client-side samples.
+// latencyCell is one temperature cell of the latency drill: sorted
+// client-side samples.
 type latencyCell []time.Duration
 
 func (c latencyCell) String() string {
@@ -574,130 +574,91 @@ func (c latencyCell) String() string {
 		pctile(c, 0.99).Round(time.Microsecond))
 }
 
-// latencyDrill is the -latency mode: launch galsd twice over private caches
-// — once plain, once with -run-parallel — and measure single-run /v1/run
-// latency in a 2x2 grid: cold (unique seed, always simulates) and warm
-// (repeated request, cache hit) on each server. Workers are fixed at 4 so
-// the parallel server always has idle slots to borrow; the drill issues one
-// request at a time, which is exactly the latency story -run-parallel
-// exists for. With assert, the drill fails when any cell is empty, when the
-// parallel server never actually ran a parallel simulation, or when a
-// -assert-warm-p95 bound is given and either warm cell's p95 exceeds it.
+// latencyDrill is the -latency mode: launch galsd over a private cache and
+// measure single-run /v1/run latency in two cells: cold (unique seed,
+// always simulates) and warm (repeated request, cache hit). The drill
+// issues one request at a time. With assert, it fails when either cell is
+// empty, or when a -assert-warm-p95 bound is given and the warm p95
+// exceeds it.
 func latencyDrill(w io.Writer, bin, token string, window, seed int64, runs int, assert bool, warmP95Bound time.Duration) bool {
 	if runs <= 0 {
 		runs = 30
 	}
-	legs := []struct {
-		name  string
-		extra []string
-	}{
-		{"sequential", []string{"-workers", "4"}},
-		{"parallel", []string{"-workers", "4", "-run-parallel"}},
+	dir, err := os.MkdirTemp("", "galsload-latency-*")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "galsload:", err)
+		return false
 	}
-	cells := map[string]latencyCell{}
-	parallelRuns := 0.0
-	for _, leg := range legs {
-		dir, err := os.MkdirTemp("", "galsload-latency-*")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "galsload:", err)
-			return false
-		}
-		base, stop, err := launchServer(bin, dir, leg.extra...)
-		if err != nil {
-			os.RemoveAll(dir)
-			fmt.Fprintln(os.Stderr, "galsload:", err)
-			return false
-		}
-		cl := client.New(client.Options{BaseURL: base, Token: token})
-		if err := waitHealthy(cl, 10*time.Second); err != nil {
-			stop()
-			os.RemoveAll(dir)
-			fmt.Fprintln(os.Stderr, "galsload:", err)
-			return false
-		}
+	defer os.RemoveAll(dir)
+	base, stop, err := launchServer(bin, dir, "-workers", "4")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "galsload:", err)
+		return false
+	}
+	defer stop()
+	cl := client.New(client.Options{BaseURL: base, Token: token})
+	if err := waitHealthy(cl, 10*time.Second); err != nil {
+		fmt.Fprintln(os.Stderr, "galsload:", err)
+		return false
+	}
 
-		issue := func(req client.RunRequest) (time.Duration, error) {
-			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-			defer cancel()
-			start := time.Now()
-			_, err := cl.Run(ctx, req)
-			return time.Since(start), err
-		}
-		// Cold: every request carries a never-seen seed, so each one
-		// simulates. The first request also pays trace recording; it is
-		// issued unmeasured so the cells compare simulation latency.
-		if _, err := issue(client.RunRequest{Bench: "gcc", Window: window, Seed: seed + 999_999}); err != nil {
-			fmt.Fprintln(os.Stderr, "galsload: prime:", err)
-		}
-		var cold, warm latencyCell
-		for i := 0; i < runs; i++ {
-			d, err := issue(client.RunRequest{Bench: "gcc", Window: window, Seed: seed + 1_000_000 + int64(i)})
-			if err == nil {
-				cold = append(cold, d)
-			}
-		}
-		// Warm: one fixed request; the first issue fills the cache, the
-		// measured ones hit it.
-		warmReq := client.RunRequest{Bench: "gcc", Window: window, Seed: seed}
-		if _, err := issue(warmReq); err != nil {
-			fmt.Fprintln(os.Stderr, "galsload: warm prime:", err)
-		}
-		for i := 0; i < runs; i++ {
-			d, err := issue(warmReq)
-			if err == nil {
-				warm = append(warm, d)
-			}
-		}
-		sort.Slice(cold, func(i, j int) bool { return cold[i] < cold[j] })
-		sort.Slice(warm, func(i, j int) bool { return warm[i] < warm[j] })
-		cells[leg.name+"/cold"] = cold
-		cells[leg.name+"/warm"] = warm
-		if leg.name == "parallel" {
-			if sc, err := scrapeMetrics(base); err == nil {
-				parallelRuns, _ = sc.Value("gals_sim_runs_parallel_total")
-			}
-		}
-		stop()
-		os.RemoveAll(dir)
+	issue := func(req client.RunRequest) (time.Duration, error) {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		start := time.Now()
+		_, err := cl.Run(ctx, req)
+		return time.Since(start), err
 	}
+	// Cold: every request carries a never-seen seed, so each one
+	// simulates. The first request also pays trace recording; it is
+	// issued unmeasured so the cell measures simulation latency.
+	if _, err := issue(client.RunRequest{Bench: "gcc", Window: window, Seed: seed + 999_999}); err != nil {
+		fmt.Fprintln(os.Stderr, "galsload: prime:", err)
+	}
+	var cold, warm latencyCell
+	for i := 0; i < runs; i++ {
+		d, err := issue(client.RunRequest{Bench: "gcc", Window: window, Seed: seed + 1_000_000 + int64(i)})
+		if err == nil {
+			cold = append(cold, d)
+		}
+	}
+	// Warm: one fixed request; the first issue fills the cache, the
+	// measured ones hit it.
+	warmReq := client.RunRequest{Bench: "gcc", Window: window, Seed: seed}
+	if _, err := issue(warmReq); err != nil {
+		fmt.Fprintln(os.Stderr, "galsload: warm prime:", err)
+	}
+	for i := 0; i < runs; i++ {
+		d, err := issue(warmReq)
+		if err == nil {
+			warm = append(warm, d)
+		}
+	}
+	sort.Slice(cold, func(i, j int) bool { return cold[i] < cold[j] })
+	sort.Slice(warm, func(i, j int) bool { return warm[i] < warm[j] })
 
 	fmt.Fprintf(w, "single-run latency (bench gcc, window %d, %d samples per cell):\n", window, runs)
-	for _, leg := range legs {
-		fmt.Fprintf(w, "  %-10s  cold: %s\n", leg.name, cells[leg.name+"/cold"])
-		fmt.Fprintf(w, "  %-10s  warm: %s\n", "", cells[leg.name+"/warm"])
-	}
-	if sp, pp := pctile(cells["sequential/cold"], 0.50), pctile(cells["parallel/cold"], 0.50); sp > 0 && pp > 0 {
-		fmt.Fprintf(w, "cold p50 parallel/sequential: %.2fx speedup (>1 = parallel faster; needs free cores to win)\n",
-			float64(sp)/float64(pp))
-	}
-	fmt.Fprintf(w, "parallel server: %.0f parallel simulation runs\n", parallelRuns)
+	fmt.Fprintf(w, "  cold: %s\n", cold)
+	fmt.Fprintf(w, "  warm: %s\n", warm)
 
 	if !assert {
 		return true
 	}
 	var dead []string
-	for _, leg := range legs {
-		for _, temp := range []string{"cold", "warm"} {
-			if len(cells[leg.name+"/"+temp]) == 0 {
-				dead = append(dead, fmt.Sprintf("no %s/%s request succeeded", leg.name, temp))
-			}
-		}
+	if len(cold) == 0 {
+		dead = append(dead, "no cold request succeeded")
 	}
-	if parallelRuns <= 0 {
-		dead = append(dead, "gals_sim_runs_parallel_total is zero on the -run-parallel server")
+	if len(warm) == 0 {
+		dead = append(dead, "no warm request succeeded")
 	}
-	if warmP95Bound > 0 {
-		for _, leg := range legs {
-			if p := pctile(cells[leg.name+"/warm"], 0.95); p > warmP95Bound {
-				dead = append(dead, fmt.Sprintf("%s warm p95 %v exceeds bound %v", leg.name, p, warmP95Bound))
-			}
-		}
+	if p := pctile(warm, 0.95); warmP95Bound > 0 && p > warmP95Bound {
+		dead = append(dead, fmt.Sprintf("warm p95 %v exceeds bound %v", p, warmP95Bound))
 	}
 	for _, d := range dead {
 		fmt.Fprintf(w, "ASSERT FAILED: %s\n", d)
 	}
 	if len(dead) == 0 {
-		fmt.Fprintln(w, "asserts passed: all latency cells live, parallel runs observed")
+		fmt.Fprintln(w, "asserts passed: both latency cells live")
 	}
 	return len(dead) == 0
 }

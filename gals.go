@@ -32,8 +32,10 @@
 //   - RecordWorkload() captures a benchmark's deterministic instruction
 //     stream once; RunWith over rec.Replay() replays it bit-identically,
 //     amortizing trace generation across repeated runs of the same window.
-//   - RunWith's RunOptions.Degree splits one run across up to three
-//     pipeline stages on separate cores, bit-identically.
+//   - A Phase-Adaptive RunWith over rec.Replay() runs only the timing
+//     model from the recording's second such run on: the recording keeps
+//     its configuration-independent functional work (cache MRU positions,
+//     branch predictions, ILP samples) as a stream, bit-identically.
 //   - NewTracePool() shares recordings across sweeps: assign the pool to
 //     SweepOptions.Traces so BestSynchronous and ProgramAdaptiveSearch
 //     replay one recording per benchmark instead of regenerating it for
@@ -110,8 +112,8 @@ type (
 	// SweepOptions.Env or ExperimentOptions.Env; the zero Env keeps
 	// everything in memory.
 	Env = sweep.Env
-	// RunOptions are RunWith's execution knobs: Degree (intra-run
-	// parallelism) and Telemetry (a sampler from NewTelemetry).
+	// RunOptions are RunWith's execution knobs: Telemetry (a sampler from
+	// NewTelemetry).
 	RunOptions = core.RunOptions
 	// InstSource is an instruction stream: spec.NewTrace() generates one
 	// live, rec.Replay() replays a Recording.
@@ -245,11 +247,9 @@ func Run(spec WorkloadSpec, cfg Config, n int64) (*Result, error) {
 // (windows within the recorded length never touch the live generator).
 // ctx bounds the run: cancellation and deadline expiry are observed every
 // 10,000 instructions, well under one accounting interval, and return
-// ctx's error with no Result. o.Degree splits the run into up to three
-// pipeline stages (<= 1 runs sequentially; pass runtime.NumCPU() to use
-// the host's cores) and o.Telemetry records the run's adaptation series.
-// None of them changes the Result: it is bit-identical to Run, and a
-// never-cancelled context at degree 1 runs the plain loop.
+// ctx's error with no Result. o.Telemetry records the run's adaptation
+// series. Neither changes the Result: it is bit-identical to Run, and a
+// never-cancelled context runs the plain loop.
 func RunWith(ctx context.Context, src InstSource, cfg Config, n int64, o RunOptions) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -91,12 +91,13 @@ func TestRecordedFacade(t *testing.T) {
 		t.Errorf("replayed TimeFS %d != live %d", replay.TimeFS, live.TimeFS)
 	}
 	tel := NewTelemetry()
-	staged, err := RunWith(context.Background(), rec.Replay(), DefaultPhaseAdaptive(), 3000, RunOptions{Degree: 2, Telemetry: tel})
+	// The recording's second run replays its functional stream.
+	traced, err := RunWith(context.Background(), rec.Replay(), DefaultPhaseAdaptive(), 3000, RunOptions{Telemetry: tel})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(staged, live) || tel.Window != 3000 {
-		t.Errorf("degree-2 traced replay diverged from the live run (telemetry window %d)", tel.Window)
+	if !reflect.DeepEqual(traced, live) || tel.Window != 3000 {
+		t.Errorf("traced streamed replay diverged from the live run (telemetry window %d)", tel.Window)
 	}
 	pool, err := NewTracePool(2000)
 	if err != nil {

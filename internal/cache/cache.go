@@ -212,8 +212,8 @@ func (c *AccountingCache) Access(addr uint64, write bool) Class {
 // miss. The update is identical for every configuration — this is the
 // Accounting Cache's defining property — so AccessPos needs no knowledge
 // of the active partitioning. ClassifyPos(pos, waysA, bEnabled) recovers
-// the timing class for any configuration; the parallel machine uses this
-// split to evolve cache state ahead of the timing pipeline and classify
+// the timing class for any configuration; a recording's functional stream
+// uses this split to evolve cache state once for every run and classify
 // later, under the configuration in force when the access is timed.
 func (c *AccountingCache) AccessPos(addr uint64, write bool) int {
 	line := c.LineAddr(addr)
@@ -298,9 +298,9 @@ func (c *AccountingCache) Probe(addr uint64) (Class, bool) {
 func (c *AccountingCache) Stats() Stats { return c.stats.Clone() }
 
 // SetStats replaces the interval statistics with a copy of s, which must
-// have one PosHits counter per physical way. The parallel and streamed
-// machines keep the statistics outside the cache during a run and hand
-// them back with it when the run ends.
+// have one PosHits counter per physical way. A streamed machine keeps the
+// statistics outside the cache while it replays a stream and hands them
+// back when it leaves the stream.
 func (c *AccountingCache) SetStats(s Stats) {
 	if len(s.PosHits) != c.geo.Ways {
 		panic(fmt.Sprintf("cache %s: %d position counters for %d ways", c.geo.Name, len(s.PosHits), c.geo.Ways))

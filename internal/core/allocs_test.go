@@ -49,7 +49,7 @@ func TestStepAllocsPerInstruction(t *testing.T) {
 				opts.Telemetry = NewTelemetry(0)
 			}
 			m.RunWith(nil, warm, opts)
-			if streamed := m.par != nil; streamed != tc.stream {
+			if streamed := m.fs != nil; streamed != tc.stream {
 				t.Fatalf("streamed = %v, want %v", streamed, tc.stream)
 			}
 			var before, after runtime.MemStats

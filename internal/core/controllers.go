@@ -82,11 +82,11 @@ func (m *Machine) record(kind reconfigKind, label string, index, from int) {
 	})
 }
 
-// configureI applies an I-cache partitioning: directly in sequential mode,
-// onto the timing stage's shadow configuration otherwise (the cache object
-// belongs to the functional stage for the duration of the run).
+// configureI applies an I-cache partitioning: directly in the fused loop,
+// onto the timing stage's shadow configuration in a streamed run (the
+// stream stands in for the cache object for the duration of the run).
 func (m *Machine) configureI(waysA int, b bool) {
-	if p := m.par; p != nil {
+	if p := m.fs; p != nil {
 		p.setI(waysA, b)
 		return
 	}
@@ -95,7 +95,7 @@ func (m *Machine) configureI(waysA int, b bool) {
 
 // configureD applies the paired L1-D/L2 partitioning; see configureI.
 func (m *Machine) configureD(waysA int, b bool) {
-	if p := m.par; p != nil {
+	if p := m.fs; p != nil {
 		p.setD(waysA, b)
 		return
 	}
@@ -106,13 +106,13 @@ func (m *Machine) configureD(waysA int, b bool) {
 // cacheDecide hands one completed accounting interval (Section 3.1) to the
 // policy, commits its decisions at commit time `now`, and starts the next
 // interval. The statistics come from the caches in the fused loop and from
-// the timing stage's own tally of the positions it consumed otherwise.
+// the timing stage's own tally of the streamed positions otherwise.
 func (m *Machine) cacheDecide(now timing.FS) {
-	var st parStats
-	if p := m.par; p != nil {
+	var st intervalSnapshot
+	if p := m.fs; p != nil {
 		st = p.intervalStats()
 	} else {
-		st = parStats{i: m.icache.Stats(), d: m.dcache.Stats(), l2: m.l2.Stats()}
+		st = intervalSnapshot{i: m.icache.Stats(), d: m.dcache.Stats(), l2: m.l2.Stats()}
 		m.icache.ResetStats()
 		m.dcache.ResetStats()
 		m.l2.ResetStats()
@@ -143,9 +143,8 @@ func (m *Machine) iqDecide(now timing.FS) {
 	m.iqDecideSamples(now, m.tracker.Samples())
 }
 
-// iqDecideSamples is iqDecide on explicitly provided samples — the form the
-// parallel and streamed machines use, where the tracker ran on the
-// functional stage.
+// iqDecideSamples is iqDecide on explicitly provided samples — the form a
+// streamed run uses, where the tracker ran in the stream builder.
 func (m *Machine) iqDecideSamples(now timing.FS, samples [4]queue.Sample) {
 	if t := m.tel; t != nil {
 		t.noteIQInterval(m, samples)
@@ -253,6 +252,14 @@ func (m *Machine) commitReconfig(a control.Reconfig, now timing.FS) {
 // instructions on a live trace.
 func RunWorkload(spec workload.Spec, cfg Config, n int64) *Result {
 	return NewMachine(spec, cfg).Run(n)
+}
+
+// RunWorkloadParallel is RunWorkload; degree is ignored. It exists only
+// because the separate bench/ module's galsbench calls it at degrees 1 and
+// 2, and keeps its signature until that benchmark changes. Call
+// RunWorkload instead.
+func RunWorkloadParallel(spec workload.Spec, cfg Config, n int64, degree int) *Result {
+	return RunWorkload(spec, cfg, n)
 }
 
 // RunSource builds a machine for cfg over an existing instruction source (a

@@ -258,10 +258,10 @@ type Machine struct {
 	// structure/direction metric, folded once at result construction.
 	dirCounts [4][3]int64
 
-	// par is the timing stage's state when the functional work happens
-	// elsewhere (a parallel stage or a functional stream); nil in the fused
+	// fs is the timing stage's state when the run's functional work comes
+	// from a recording's functional stream (stream.go); nil in the fused
 	// loop, making every gate in step() one predictable branch.
-	par *parState
+	fs *streamState
 }
 
 // pendingReconfig is an in-flight cache-domain frequency change.

@@ -12,10 +12,8 @@ import (
 // as /metrics series; CLI tools share the same process-wide truth.
 
 var (
-	simRuns      atomic.Int64
-	simInstrs    atomic.Int64
-	simRunsPar   atomic.Int64
-	simParDegree atomic.Int64
+	simRuns   atomic.Int64
+	simInstrs atomic.Int64
 
 	reconfigMu       sync.Mutex
 	reconfigByPolicy map[string]int64
@@ -125,22 +123,6 @@ func NoteTelemetryArtifact(bytes int64) {
 // serialized; TelemetryBytes their total encoded size.
 func TelemetryRuns() int64  { return telemetryRuns.Load() }
 func TelemetryBytes() int64 { return telemetryBytes.Load() }
-
-// noteParallelRun folds one completed intra-run-parallel run into the
-// boundary counters (the run itself is also counted by noteRun).
-func noteParallelRun(degree int) {
-	simRunsPar.Add(1)
-	simParDegree.Store(int64(degree))
-}
-
-// SimRunsParallel reports how many completed runs in this process used
-// intra-run parallel execution (RunWith with an effective degree >= 2).
-func SimRunsParallel() int64 { return simRunsPar.Load() }
-
-// SimParallelDegree reports the effective stage count of the most recent
-// parallel run (0 until one completes) — the process-level gauge behind
-// the service's parallel-degree metric.
-func SimParallelDegree() int64 { return simParDegree.Load() }
 
 // SimRuns reports the number of simulation runs completed in this process
 // (live and replayed; cache hits never reach the simulator and do not

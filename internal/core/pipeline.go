@@ -89,11 +89,11 @@ func (m *Machine) dcacheLatencies() (int, int, int, int) {
 }
 
 // l2AccessI performs the unified-L2 access for an I-side line fill: the
-// functional access live in sequential mode, classification of the shipped
-// or streamed MRU position under the shadow configuration otherwise.
+// functional access live in the fused loop, classification of the streamed
+// MRU position under the shadow configuration otherwise.
 func (m *Machine) l2AccessI(addr uint64, t timing.FS) timing.FS {
-	if p := m.par; p != nil {
-		return m.l2Timed(p.classL2I(), t)
+	if p := m.fs; p != nil {
+		return m.l2Timed(p.classL2(), t)
 	}
 	return m.l2Timed(m.l2.Access(addr, false), t)
 }
@@ -101,8 +101,8 @@ func (m *Machine) l2AccessI(addr uint64, t timing.FS) timing.FS {
 // l2AccessD is l2AccessI for D-side line fills (loads and store
 // write-allocates).
 func (m *Machine) l2AccessD(addr uint64, t timing.FS, write bool) timing.FS {
-	if p := m.par; p != nil {
-		return m.l2Timed(p.classL2D(), t)
+	if p := m.fs; p != nil {
+		return m.l2Timed(p.classL2(), t)
 	}
 	return m.l2Timed(m.l2.Access(addr, write), t)
 }
@@ -153,7 +153,7 @@ func (m *Machine) step(in *isa.Inst) {
 		if line != m.curLine {
 			aLat, bLat := m.icacheLatencies()
 			var icls cache.Class
-			if p := m.par; p != nil {
+			if p := m.fs; p != nil {
 				icls = p.classI()
 			} else {
 				icls = m.icache.Access(in.PC, false)
@@ -213,13 +213,12 @@ func (m *Machine) step(in *isa.Inst) {
 	m.renameBW.push(rn)
 	m.fetchQ.push(rn)
 
-	// ILP tracking happens at rename (Section 3.2). In parallel and
-	// streamed runs the functional stage ran the tracker; a fired
-	// interval's samples arrive with it and the decision commits here, at
-	// the same point.
-	if p := m.par; p != nil {
+	// ILP tracking happens at rename (Section 3.2). In a streamed run the
+	// stream builder ran the tracker; a fired interval's samples are
+	// stored with it and the decision commits here, at the same point.
+	if p := m.fs; p != nil {
 		if p.fired(m.count) {
-			m.iqDecideSamples(rn, p.popSamples())
+			m.iqDecideSamples(rn, p.cur.popSamples())
 		}
 	} else if m.tracker != nil && !m.cfg.DisableIQAdapt {
 		if m.tracker.Observe(in) {
@@ -344,12 +343,8 @@ func (m *Machine) execCompute(in *isa.Inst, dom clock.Domain) timing.FS {
 func (m *Machine) resolveBranch(in *isa.Inst, resolve timing.FS) {
 	m.stats.Branches++
 	var pred bool
-	if p := m.par; p != nil {
-		geom := 0
-		if m.bank != nil {
-			geom = int(m.bank.Active())
-		}
-		pred = p.predicted(geom)
+	if p := m.fs; p != nil {
+		pred = p.predicted(int(m.bank.Active()))
 	} else if m.cfg.Mode == Synchronous {
 		pred = m.syncPred.Predict(in.PC)
 		m.syncPred.Update(in.PC, in.Taken)
@@ -391,7 +386,7 @@ func (m *Machine) execLoad(in *isa.Inst) timing.FS {
 	l1A, l1B, _, _ := m.dcacheLatencies()
 	var done timing.FS
 	var dcls cache.Class
-	if p := m.par; p != nil {
+	if p := m.fs; p != nil {
 		dcls = p.classD()
 	} else {
 		dcls = m.dcache.Access(in.Addr, false)
@@ -432,7 +427,7 @@ func (m *Machine) execStore(in *isa.Inst) timing.FS {
 	// booked at the earliest write time.
 	m.dports.push(ready)
 	var scls cache.Class
-	if p := m.par; p != nil {
+	if p := m.fs; p != nil {
 		scls = p.classD()
 	} else {
 		scls = m.dcache.Access(in.Addr, true)
@@ -485,8 +480,8 @@ func (m *Machine) steps(n int64) {
 	var in isa.Inst
 	for n > 0 {
 		k := n
-		if p := m.par; p != nil {
-			k = min(k, p.fs.load(m.count))
+		if p := m.fs; p != nil {
+			k = min(k, p.cur.load(m.count))
 		}
 		for i := int64(0); i < k; i++ {
 			m.trace.Next(&in)
@@ -516,58 +511,39 @@ func (m *Machine) result() *Result {
 // to one channel poll per 10k steps (unmeasurable against step cost).
 const cancelQuantum = 10_000
 
-// RunOptions are RunWith's execution knobs. Neither changes the Result: a
-// run is bit-identical at every degree, with or without telemetry.
+// RunOptions are RunWith's execution knobs.
 type RunOptions struct {
-	// Degree is the intra-run parallelism: <= 1 runs sequentially, 2 and 3
-	// split the run into pipeline stages (see parallel.go), and larger
-	// values clamp to 3. ParallelDegree resolves "auto" requests. A
-	// streamed run (stream.go) has only its timing stage left to run and
-	// ignores it.
-	Degree int
 	// Telemetry, when non-nil, records the run's adaptation series; it is
-	// sealed and readable once the run returns.
+	// sealed and readable once the run returns. It does not change the
+	// Result.
 	Telemetry *Telemetry
 }
 
 // RunWith executes n instructions under o and returns the result. A nil
-// or never-cancellable ctx at degree <= 1 runs the plain Run loop;
-// otherwise ctx is polled every cancelQuantum instructions, and on
-// cancellation the partial result is discarded and ctx.Err() returned.
+// or never-cancellable ctx runs the plain Run loop; otherwise ctx is
+// polled every cancelQuantum instructions, and on cancellation the partial
+// result is discarded and ctx.Err() returned.
 func (m *Machine) RunWith(ctx context.Context, n int64, o RunOptions) (*Result, error) {
 	m.tel = o.Telemetry
 	if ctx != nil && ctx.Done() == nil {
 		ctx = nil // never cancellable: skip the polls
 	}
-	if ctx != nil && ctx.Err() != nil {
-		return nil, ctx.Err()
-	}
-	streamed := m.useStream(n)
-	if degree := min(o.Degree, maxParallelDegree); degree > 1 && !streamed {
-		return m.runParallel(ctx, n, degree)
-	}
 	if ctx == nil {
-		m.steps(n)
-	} else if err := runQuanta(ctx, n, m.steps); err != nil {
+		return m.Run(n), nil
+	}
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return m.result(), nil
-}
-
-// runQuanta calls run over n instructions in cancelQuantum slices, polling
-// ctx (nil: never cancelled) between slices.
-func runQuanta(ctx context.Context, n int64, run func(q int64)) error {
+	m.useStream(n)
 	for done := int64(0); done < n; {
 		q := min(n-done, cancelQuantum)
-		run(q)
+		m.steps(q)
 		done += q
-		if ctx != nil {
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			default:
-			}
+		select {
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		default:
 		}
 	}
-	return nil
+	return m.result(), nil
 }

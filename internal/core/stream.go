@@ -3,16 +3,19 @@
 //
 // The functional stage (functional.go) depends only on the instruction
 // stream and the tracker's window sizes, never on the configuration, seed
-// or policy of the run. A recording therefore keeps, next to its
-// instructions, the compact outcome of that stage: one int8 position code
-// per cache access that happens, 4 prediction bits per branch (one per
-// predictor geometry) and the tracker's fire points and samples. A run
-// that replays the recording from its start drives the ordinary step()
-// loop from this stream through the same m.par access points the
-// stage-parallel machine uses, so what remains per instruction is the
-// timing model alone. The stream is cut into chunks built lazily, in
-// order, by whichever run needs one first; a cancelled run leaves the
-// chunks it built for the next.
+// or policy of the run (paper Section 3.1: the Accounting Cache keeps the
+// same MRU state under every partitioning). A recording therefore keeps,
+// next to its instructions, the compact outcome of that stage: one int8
+// position code per cache access that happens, 4 prediction bits per
+// branch (one per predictor geometry) and the tracker's fire points and
+// samples. A run that replays the recording from its start drives the
+// ordinary step() loop from this stream through the m.fs access points, so
+// what remains per instruction is the timing model alone. The timing stage
+// classifies the stored positions under shadow configurations that
+// replicate, in commit order, every Configure call the fused loop would
+// have made, and tallies them into its own interval histograms. The
+// stream is cut into chunks built lazily, in order, by whichever run needs
+// one first; a cancelled run leaves the chunks it built for the next.
 //
 // A recording's first eligible run only notes that the recording was run
 // and takes the fused loop; the second starts the stream. That way a
@@ -138,7 +141,6 @@ func (s *funcStream) open() bool {
 			l2:      cache.New(gl2),
 			tracker: queue.NewTrackerSizes(s.windows),
 			bank:    bpred.NewBank(0),
-			phase:   true,
 		},
 		src: s.rec.Replay(),
 	}
@@ -191,16 +193,16 @@ func (s *funcStream) buildNext() {
 	for k := start; k < end; k++ {
 		b.src.Next(&in)
 		b.f.step(&in, &o)
-		if o.iPos != parNoAccess {
+		if o.iPos != noAccess {
 			b.i = append(b.i, byte(o.iPos))
 		}
-		if o.iL2 != parNoAccess {
+		if o.iL2 != noAccess {
 			b.l2 = append(b.l2, byte(o.iL2))
 		}
-		if o.dPos != parNoAccess {
+		if o.dPos != noAccess {
 			b.d = append(b.d, byte(o.dPos))
 		}
-		if o.dL2 != parNoAccess {
+		if o.dL2 != noAccess {
 			b.l2 = append(b.l2, byte(o.dL2))
 		}
 		if in.Class == isa.Branch {
@@ -320,36 +322,30 @@ func (c *streamCursor) popSamples() [4]queue.Sample {
 }
 
 // useStream decides how a run of n more instructions gets its functional
-// work, and reports whether it is streamed. An eligible fresh machine
+// work: from a stream when it leaves m.fs set. An eligible fresh machine
 // attaches its recording's stream, unless its run is the recording's
 // first; a streamed machine keeps it while the stream covers the run and
 // otherwise returns to the fused loop. Called once per run: each call on
 // an eligible fresh machine counts as a run of the recording.
-func (m *Machine) useStream(n int64) bool {
-	if p := m.par; p != nil {
-		if m.count+n <= p.fs.s.n {
-			return true
+func (m *Machine) useStream(n int64) {
+	if p := m.fs; p != nil {
+		if m.count+n > p.cur.s.n {
+			m.leaveStream(p)
 		}
-		m.leaveStream(p)
-		return false
+		return
 	}
 	rec := m.streamRecording(n)
 	if rec == nil {
-		return false
+		return
 	}
 	trackIQ := m.tracker != nil && !m.cfg.DisableIQAdapt
 	windows := queue.DefaultWindowSizes()
 	if trackIQ {
 		windows = m.tracker.Sizes()
 	}
-	s := streamFor(rec, windows)
-	if s == nil {
-		return false
+	if s := streamFor(rec, windows); s != nil {
+		m.fs = m.newStreamState(streamCursor{s: s, trackIQ: trackIQ, fireAt: -1})
 	}
-	p := m.newParState()
-	p.fs = &streamCursor{s: s, trackIQ: trackIQ, fireAt: -1}
-	m.par = p
-	return true
 }
 
 // streamRecording returns the recording whose stream a run of n more
@@ -369,15 +365,140 @@ func (m *Machine) streamRecording(n int64) *workload.Recording {
 // machine's own caches, tracker and predictors over the instructions
 // executed so far, and the timing stage's configurations and interval
 // statistics go back to the caches.
-func (m *Machine) leaveStream(p *parState) {
+func (m *Machine) leaveStream(p *streamState) {
 	f := m.newFuncStage()
-	f.curLine, f.lineLeft = 0, 0
-	src := p.fs.s.rec.Replay()
+	src := p.cur.s.rec.Replay()
 	var in isa.Inst
 	var o funcOut
 	for i := int64(0); i < m.count; i++ {
 		src.Next(&in)
 		f.step(&in, &o)
 	}
-	m.foldPar(p)
+	m.fs = nil
+	m.icache.Configure(p.iWaysA, p.iB)
+	m.dcache.Configure(p.dWaysA, p.dB)
+	m.l2.Configure(p.l2WaysA, p.l2B)
+	m.icache.SetStats(p.hist[histI])
+	m.dcache.SetStats(p.hist[histD])
+	m.l2.SetStats(p.hist[histL2])
+}
+
+// streamState is the timing stage's view of a streamed run. It is hung
+// off Machine.fs; a nil fs means the fused loop, and every gate in step()
+// compiles to one predictable branch.
+type streamState struct {
+	cur streamCursor
+
+	// Shadow configurations: the timing stage's view of the three caches'
+	// partitioning, updated wherever the fused loop would call Configure.
+	// The cache objects themselves sit unused while the stream stands in
+	// for them.
+	iWaysA, dWaysA, l2WaysA int
+	iB, dB, l2B             bool
+	iWays, dWays, l2Ways    int // physical way counts (the forcing rule)
+
+	// hist holds the interval statistics of the I-cache, D-cache and L2,
+	// tallied from the positions the timing stage consumes.
+	hist [3]cache.Stats
+}
+
+// Indices into streamState.hist.
+const (
+	histI = iota
+	histD
+	histL2
+)
+
+// intervalSnapshot is one accounting interval's statistics of the three
+// caches.
+type intervalSnapshot struct {
+	i, d, l2 cache.Stats
+}
+
+// newStreamState captures the caches' partitioning and interval
+// statistics: from here until leaveStream the timing stage keeps both.
+func (m *Machine) newStreamState(cur streamCursor) *streamState {
+	p := &streamState{cur: cur}
+	p.iWays, p.iWaysA, p.iB = m.icache.Geometry().Ways, m.icache.WaysA(), m.icache.BEnabled()
+	p.dWays, p.dWaysA, p.dB = m.dcache.Geometry().Ways, m.dcache.WaysA(), m.dcache.BEnabled()
+	p.l2Ways, p.l2WaysA, p.l2B = m.l2.Geometry().Ways, m.l2.WaysA(), m.l2.BEnabled()
+	p.hist = [3]cache.Stats{m.icache.Stats(), m.dcache.Stats(), m.l2.Stats()}
+	return p
+}
+
+// setI mirrors icache.Configure onto the shadow, including the validation
+// panic and the waysA==Ways forcing rule.
+func (p *streamState) setI(waysA int, b bool) {
+	if waysA < 1 || waysA > p.iWays {
+		panic(fmt.Sprintf("cache L1I: A partition %d ways out of range 1..%d", waysA, p.iWays))
+	}
+	if waysA == p.iWays {
+		b = false
+	}
+	p.iWaysA, p.iB = waysA, b
+}
+
+// setD mirrors the paired dcache.Configure / l2.Configure onto the shadows.
+func (p *streamState) setD(waysA int, b bool) {
+	if waysA < 1 || waysA > p.dWays {
+		panic(fmt.Sprintf("cache L1D: A partition %d ways out of range 1..%d", waysA, p.dWays))
+	}
+	db := b
+	if waysA == p.dWays {
+		db = false
+	}
+	p.dWaysA, p.dB = waysA, db
+	if waysA < 1 || waysA > p.l2Ways {
+		panic(fmt.Sprintf("cache L2: A partition %d ways out of range 1..%d", waysA, p.l2Ways))
+	}
+	lb := b
+	if waysA == p.l2Ways {
+		lb = false
+	}
+	p.l2WaysA, p.l2B = waysA, lb
+}
+
+// class tallies one consumed access code into its interval histogram and
+// classifies it under a shadow configuration.
+func (p *streamState) class(code int8, h int, waysA int, b bool) cache.Class {
+	tally(&p.hist[h], code)
+	return cache.ClassifyPos(int(code), waysA, b)
+}
+
+// classI classifies the instruction's I-cache access.
+func (p *streamState) classI() cache.Class {
+	return p.class(p.cur.nextI(), histI, p.iWaysA, p.iB)
+}
+
+// classD classifies the instruction's D-cache access.
+func (p *streamState) classD() cache.Class {
+	return p.class(p.cur.nextD(), histD, p.dWaysA, p.dB)
+}
+
+// classL2 classifies the L2 access of the instruction's I- or D-side line
+// fill.
+func (p *streamState) classL2() cache.Class {
+	return p.class(p.cur.nextL2(), histL2, p.l2WaysA, p.l2B)
+}
+
+// predicted returns the branch prediction of the predictor geometry with
+// index geom.
+func (p *streamState) predicted(geom int) bool {
+	return p.cur.nextPred()>>geom&1 != 0
+}
+
+// fired reports whether the ILP tracker completed an interval at the
+// instruction with 0-based index count.
+func (p *streamState) fired(count int64) bool {
+	return p.cur.fireAt == count
+}
+
+// intervalStats hands the accounting-interval statistics to a decision
+// and starts the next interval.
+func (p *streamState) intervalStats() intervalSnapshot {
+	st := intervalSnapshot{i: p.hist[histI].Clone(), d: p.hist[histD].Clone(), l2: p.hist[histL2].Clone()}
+	for i := range p.hist {
+		p.hist[i].Reset()
+	}
+	return st
 }

@@ -5,12 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
 
 	"gals/internal/isa"
 	"gals/internal/queue"
+	"gals/internal/timing"
 	"gals/internal/workload"
 )
 
@@ -22,10 +24,10 @@ const streamTestWindow = 30_000
 
 // runTelemetryJSON runs cfg over src with a telemetry sampler and returns
 // the result and the encoded artifact.
-func runTelemetryJSON(t *testing.T, src InstSource, cfg Config, n int64, degree int) (*Result, []byte) {
+func runTelemetryJSON(t *testing.T, src InstSource, cfg Config, n int64) (*Result, []byte) {
 	t.Helper()
 	tel := NewTelemetry(0)
-	res, err := NewMachineSource(src, cfg).RunWith(nil, n, RunOptions{Degree: degree, Telemetry: tel})
+	res, err := NewMachineSource(src, cfg).RunWith(nil, n, RunOptions{Telemetry: tel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,9 +55,9 @@ var streamVariants = []struct {
 // TestFunctionalStreamParity pins the streamed machine bit-identical to
 // the fused loop: the same Result (reconfiguration trace included) and the
 // same telemetry artifact, byte for byte, for every policy family, both
-// controller ablations, several seeds, both PLL scales and both degrees.
-// The recording's first run takes the fused loop, the second builds the
-// stream as it goes and the rest reuse it.
+// controller ablations, several seeds and both PLL scales. The
+// recording's first run takes the fused loop, the second builds the stream
+// as it goes and the rest reuse it.
 func TestFunctionalStreamParity(t *testing.T) {
 	for _, name := range []string{"gcc", "em3d", "apsi", "mst", "gsm encode", "art"} {
 		t.Run(name, func(t *testing.T) {
@@ -69,16 +71,14 @@ func TestFunctionalStreamParity(t *testing.T) {
 					cfg.PLLScale = []float64{0.1, 1}[si%2]
 					v.set(&cfg)
 					label := fmt.Sprintf("%s/seed%d/pll%g", v.name, seed, cfg.PLLScale)
-					want, wantJS := runTelemetryJSON(t, fused{rec.Replay()}, cfg, streamTestWindow, 1)
-					for _, degree := range []int{1, 2} {
-						got, gotJS := runTelemetryJSON(t, rec.Replay(), cfg, streamTestWindow, degree)
-						if !reflect.DeepEqual(want, got) {
-							t.Fatalf("%s degree %d: streamed run diverged from the fused loop:\nfused:    time=%d stats=%+v\nstreamed: time=%d stats=%+v",
-								label, degree, want.TimeFS, want.Stats, got.TimeFS, got.Stats)
-						}
-						if !bytes.Equal(wantJS, gotJS) {
-							t.Fatalf("%s degree %d: streamed run recorded different telemetry", label, degree)
-						}
+					want, wantJS := runTelemetryJSON(t, fused{rec.Replay()}, cfg, streamTestWindow)
+					got, gotJS := runTelemetryJSON(t, rec.Replay(), cfg, streamTestWindow)
+					if !reflect.DeepEqual(want, got) {
+						t.Fatalf("%s: streamed run diverged from the fused loop:\nfused:    time=%d stats=%+v\nstreamed: time=%d stats=%+v",
+							label, want.TimeFS, want.Stats, got.TimeFS, got.Stats)
+					}
+					if !bytes.Equal(wantJS, gotJS) {
+						t.Fatalf("%s: streamed run recorded different telemetry", label)
 					}
 				}
 			}
@@ -86,6 +86,54 @@ func TestFunctionalStreamParity(t *testing.T) {
 				t.Fatalf("stream incomplete after %d runs", s.runs.Load())
 			}
 		})
+	}
+}
+
+// TestParityStreamFuzz compares streamed with fused runs over randomized
+// Phase-Adaptive configurations: benchmark, policy, jitter, window, seed,
+// PLL scale, starting configuration and both controller ablations. Each
+// case records its own window, so every streamed run builds its stream.
+// The generator is seeded, so a failure reproduces; raise fuzzCases
+// locally to hunt.
+func TestParityStreamFuzz(t *testing.T) {
+	const fuzzCases = 16
+	rng := rand.New(rand.NewSource(20261017))
+	names := workload.Names()
+	policies := []string{"", "paper", "interval", "frozen", "feedback"}
+	params := []string{"", "", "interval=7500,hysteresis=1", "", ""}
+	sizes := timing.IQSizes()
+	for i := 0; i < fuzzCases; i++ {
+		name := names[rng.Intn(len(names))]
+		cfg := DefaultAdaptive(PhaseAdaptive)
+		j := rng.Intn(len(policies))
+		cfg.Policy, cfg.PolicyParams = policies[j], params[j]
+		cfg.ICache = timing.ICacheConfig(rng.Intn(timing.NumICacheConfigs))
+		cfg.DCache = timing.DCacheConfig(rng.Intn(timing.NumDCacheConfigs))
+		cfg.IntIQ = sizes[rng.Intn(len(sizes))]
+		cfg.FPIQ = sizes[rng.Intn(len(sizes))]
+		cfg.IQHysteresis = rng.Intn(3)
+		cfg.DisableCacheAdapt = rng.Intn(6) == 0
+		cfg.DisableIQAdapt = rng.Intn(6) == 0
+		cfg.PLLScale = []float64{0.1, 0.1, 1}[rng.Intn(3)]
+		cfg.JitterFrac = []float64{0, 0, 0.01, 0.03}[rng.Intn(4)]
+		cfg.Seed = int64(rng.Intn(1000))
+		cfg.RecordTrace = true
+		window := int64(8_000 + rng.Intn(32_000))
+		label := fmt.Sprintf("case %d: bench=%s policy=%q window=%d seed=%d pll=%g jitter=%g noIQ=%v noCache=%v",
+			i, name, cfg.Policy, window, cfg.Seed, cfg.PLLScale, cfg.JitterFrac, cfg.DisableIQAdapt, cfg.DisableCacheAdapt)
+
+		rec := bench(t, name).Record(window)
+		fusedM := NewMachineSource(rec.Replay(), cfg) // the recording's first run, fused
+		want := fusedM.Run(window)
+		streamM := NewMachineSource(rec.Replay(), cfg)
+		got := streamM.Run(window)
+		if fusedM.fs != nil || streamM.fs == nil {
+			t.Fatalf("%s: streamed = %v then %v, want false then true", label, fusedM.fs != nil, streamM.fs != nil)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("%s: streamed run diverged from the fused loop:\nfused:    time=%d stats=%+v\nstreamed: time=%d stats=%+v",
+				label, want.TimeFS, want.Stats, got.TimeFS, got.Stats)
+		}
 	}
 }
 
@@ -117,13 +165,13 @@ func TestFunctionalStreamConcurrentRuns(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[i], _ = NewMachineSource(rec.Replay(), cfgs[i]).RunWith(nil, rec.Len(), RunOptions{Degree: 1 + i%2})
+			got[i] = NewMachineSource(rec.Replay(), cfgs[i]).Run(rec.Len())
 		}()
 	}
 	wg.Wait()
 	for i := range cfgs {
 		if !reflect.DeepEqual(want[i], got[i]) {
-			t.Errorf("run %d (degree %d) diverged from the fused loop", i, 1+i%2)
+			t.Errorf("run %d diverged from the fused loop", i)
 		}
 	}
 	if !recStream(t, rec).complete() {
@@ -184,8 +232,9 @@ func TestFunctionalStreamEligibility(t *testing.T) {
 		}
 	}
 	for i, want := range []bool{false, true, true} {
-		if got := NewMachineSource(rec.Replay(), phaseCfg()).useStream(5000); got != want {
-			t.Errorf("eligible run %d: streamed = %v, want %v", i+1, got, want)
+		m := NewMachineSource(rec.Replay(), phaseCfg())
+		if m.useStream(5000); (m.fs != nil) != want {
+			t.Errorf("eligible run %d: streamed = %v, want %v", i+1, m.fs != nil, want)
 		}
 	}
 }

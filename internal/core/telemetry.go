@@ -6,10 +6,10 @@
 // nil sampler costs one predictable branch per decision boundary (a few per
 // 10k instructions); the A/B bench in PERFORMANCE.md pins the budget.
 //
-// All hooks run on the timing stage, which owns the decision state in both
-// sequential and parallel execution, so an attached sampler observes
-// bit-identical series in either mode and never perturbs results: nothing
-// telemetry touches feeds back into simulation state or Stats.
+// All hooks run in the timing model, which owns the decision state in both
+// fused and streamed runs, so an attached sampler observes bit-identical
+// series either way and never perturbs results: nothing telemetry touches
+// feeds back into simulation state or Stats.
 package core
 
 import (
@@ -251,7 +251,7 @@ func intervalIPC(dInstr int64, dTime timing.FS) float64 {
 // state plus the interval's reconstructed hit/miss counts for the
 // configuration it ran under. Called by cacheDecide before the policy
 // decides, so the sample reflects exactly what the policy saw.
-func (t *Telemetry) noteCacheInterval(m *Machine, st *parStats) {
+func (t *Telemetry) noteCacheInterval(m *Machine, st *intervalSnapshot) {
 	t.trigger = "cache-interval"
 	s := t.base(m, "cache")
 	s.IPC = intervalIPC(m.count-t.lastCacheInstr, m.lastCommit-t.lastCacheTime)

@@ -42,7 +42,7 @@ func TestTelemetryParity(t *testing.T) {
 
 	for name, cfg := range cfgs {
 		t.Run(name, func(t *testing.T) {
-			off := RunWorkloadParallel(spec, cfg, telTestWindow, 1)
+			off := RunWorkload(spec, cfg, telTestWindow)
 
 			tel := NewTelemetry(0)
 			on := runTelemetry(spec, cfg, telTestWindow, tel)
@@ -61,37 +61,6 @@ func TestTelemetryParity(t *testing.T) {
 					tel.Reconfigs, on.Stats.Reconfigs, tel.Window)
 			}
 		})
-	}
-}
-
-// TestTelemetryParallelParity pins the series itself, not just the Stats:
-// the sampler rides the timing stage, so every RunWith degree must
-// record the bit-identical sample and event sequence.
-func TestTelemetryParallelParity(t *testing.T) {
-	spec, _ := workload.ByName("gcc")
-	cfg := DefaultAdaptive(PhaseAdaptive)
-	cfg.PLLScale = 0.1
-
-	seq := NewTelemetry(0)
-	res := runTelemetry(spec, cfg, telTestWindow, seq)
-
-	for degree := 2; degree <= 3; degree++ {
-		tel := NewTelemetry(0)
-		resD, err := NewMachine(spec, cfg).RunWith(nil, telTestWindow, RunOptions{Degree: degree, Telemetry: tel})
-		if err != nil {
-			t.Fatalf("degree %d: %v", degree, err)
-		}
-		if !reflect.DeepEqual(res.Stats, resD.Stats) {
-			t.Errorf("degree %d changed Stats", degree)
-		}
-		if !reflect.DeepEqual(seq.Samples, tel.Samples) {
-			t.Errorf("degree %d recorded a different sample series (%d vs %d samples)",
-				degree, len(tel.Samples), len(seq.Samples))
-		}
-		if !reflect.DeepEqual(seq.Events, tel.Events) {
-			t.Errorf("degree %d recorded a different event series (%d vs %d events)",
-				degree, len(tel.Events), len(seq.Events))
-		}
 	}
 }
 

@@ -149,12 +149,6 @@ func (s *Service) initMetrics() {
 	r.NewCounterFunc("gals_sim_instructions_total",
 		"Instructions committed across all completed runs.",
 		func() float64 { return float64(core.SimInstructions()) })
-	r.NewCounterFunc("gals_sim_runs_parallel_total",
-		"Simulation runs that executed with intra-run stage parallelism.",
-		func() float64 { return float64(core.SimRunsParallel()) })
-	r.NewGaugeFunc("gals_sim_parallel_degree",
-		"Stage-pipeline degree of the most recent parallel run (0 = none yet).",
-		func() float64 { return float64(core.SimParallelDegree()) })
 	r.NewFunc("gals_functional_streams_total",
 		"Phase-Adaptive runs over a recording's functional stream, by event: build (the run started the stream) or reuse.",
 		"counter", func() []metrics.Sample {
@@ -166,8 +160,8 @@ func (s *Service) initMetrics() {
 	r.NewGaugeFunc("gals_functional_stream_bytes",
 		"Heap bytes held by the functional streams of recordings not yet garbage collected.",
 		func() float64 { return float64(core.FunctionalStreamBytes()) })
-	s.runSeconds = r.NewHistogramVec("gals_run_seconds",
-		"Single-run simulation wall time by execution mode (sequential | parallel); recording time excluded.", "mode", nil)
+	s.runSeconds = r.NewHistogram("gals_run_seconds",
+		"Single-run simulation wall time; recording time excluded.", nil)
 	r.NewFunc("gals_reconfigurations_total",
 		"On-line reconfigurations committed, by adaptation policy.",
 		"counter", func() []metrics.Sample {

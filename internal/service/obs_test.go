@@ -135,8 +135,7 @@ func TestMetricsMatchStats(t *testing.T) {
 		{"gals_http_rate_limited_total", st.RateLimited},
 		{"gals_dedup_hits_total", st.DedupHits},
 		{"gals_simulations_total", st.Simulations},
-		{"gals_sim_runs_parallel_total", st.RunsParallel},
-		{"gals_sim_parallel_degree", st.ParallelDegree},
+		{"gals_run_seconds_count", st.Simulations},
 		{"gals_cache_hits_total", st.Cache.Hits},
 		{"gals_cache_misses_total", st.Cache.Misses},
 		{"gals_cache_puts_total", st.Cache.Puts},
@@ -193,39 +192,6 @@ func TestMetricsMatchStats(t *testing.T) {
 			t.Errorf("functional_stream_bytes = %d with a live stream, want > 0", after.FunctionalStreamBytes)
 		}
 		break
-	}
-}
-
-// TestParallelRunObservability pins the intra-run parallelism surface: a
-// run on a quiet parallel-enabled server executes in parallel mode, and
-// the parallel counters, the degree gauge and the per-mode run-duration
-// histogram all report it — in /v1/stats and /metrics alike.
-func TestParallelRunObservability(t *testing.T) {
-	s := newTestService(t, Config{CacheDir: t.TempDir(), Workers: 4, RunParallel: true})
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-
-	before := s.Stats().RunsParallel
-	var run RunResult
-	doJSON(t, http.MethodPost, srv.URL+"/v1/run", `{"bench": "gcc", "window": 3000}`, &run)
-
-	var st Stats
-	doJSON(t, http.MethodGet, srv.URL+"/v1/stats", "", &st)
-	if st.RunsParallel <= before {
-		t.Errorf("runs_parallel = %d, want > %d after a parallel-enabled run", st.RunsParallel, before)
-	}
-	if st.ParallelDegree < 2 {
-		t.Errorf("parallel_degree = %d, want >= 2 (3 idle workers were available)", st.ParallelDegree)
-	}
-
-	sc := scrape(t, srv.URL)
-	if n, ok := sc.Value("gals_run_seconds_count", metrics.Label{Key: "mode", Value: "parallel"}); !ok || n < 1 {
-		t.Errorf("gals_run_seconds_count{mode=parallel} = %v (present %v), want >= 1", n, ok)
-	}
-	// The sequential histogram child must not exist yet on this server: its
-	// single run took the parallel path.
-	if n, ok := sc.Value("gals_run_seconds_count", metrics.Label{Key: "mode", Value: "sequential"}); ok && n > 0 {
-		t.Errorf("gals_run_seconds_count{mode=sequential} = %v, want absent on a parallel-only server", n)
 	}
 }
 

@@ -100,16 +100,6 @@ type Config struct {
 	// into this directory (clients can also opt in per request with
 	// ?trace=1, which returns the trace inline instead).
 	TraceDir string
-	// RunParallel enables intra-run stage parallelism (core.RunParallel)
-	// for simulations whose moment of execution finds idle workers and an
-	// empty queue — single /v1/run requests on a quiet server, and the
-	// ragged tail of sweeps. The degree is chosen per run from the pool's
-	// spare capacity, is bit-identity-preserving (core's parity contract),
-	// and never enters cache keys: a result computed in parallel is served
-	// to sequential requesters and vice versa. Off by default — a saturated
-	// server gains nothing, and the knob exists to cut single-run latency.
-	// galsd wires -run-parallel.
-	RunParallel bool
 	// TelemetryCap bounds each telemetry-enabled run's sample and event
 	// rings (0 = core.DefaultTelemetryCap). A saturated ring keeps the most
 	// recent entries and reports the rotation in the artifact's Dropped
@@ -163,7 +153,7 @@ type Service struct {
 	// GET /metrics plus the event-sourced instruments the request path
 	// observes directly. See initMetrics for the full series catalogue.
 	reg          *metrics.Registry
-	runSeconds   *metrics.HistogramVec
+	runSeconds   *metrics.Histogram
 	dwellHist    *metrics.HistogramVec
 	httpLatency  *metrics.HistogramVec
 	httpRequests *metrics.CounterVec
@@ -594,11 +584,6 @@ type RunResult struct {
 // returns ctx's error and no result.
 func (s *Service) runOne(ctx context.Context, spec workload.Spec, cfg core.Config, window int64, tel *core.Telemetry) (*core.Result, error) {
 	tr := tracerFrom(ctx)
-	degree := s.runDegree()
-	mode := "sequential"
-	if degree > 1 {
-		mode = "parallel"
-	}
 	var src core.InstSource
 	span := "generate+measure"
 	if p := s.tracePool(window); p != nil {
@@ -614,29 +599,12 @@ func (s *Service) runOne(ctx context.Context, spec workload.Spec, cfg core.Confi
 	}
 	start := time.Now() // the histogram measures simulation, not recording
 	simSpan := tr.Start(span, cfg.Label())
-	res, err := core.NewMachineSource(src, cfg).RunWith(ctx, window, core.RunOptions{Degree: degree, Telemetry: tel})
+	res, err := core.NewMachineSource(src, cfg).RunWith(ctx, window, core.RunOptions{Telemetry: tel})
 	simSpan.End()
 	if err == nil {
-		s.runSeconds.With(mode).Observe(time.Since(start).Seconds())
+		s.runSeconds.Observe(time.Since(start).Seconds())
 	}
 	return res, err
-}
-
-// runDegree picks the intra-run parallelism for a simulation about to
-// start: 1 (sequential) unless the server opted in via Config.RunParallel
-// AND the pool has idle workers with nothing queued to claim them. runOne
-// executes inside a pool cell, so the calling worker is already counted
-// in-flight; idle slots are genuinely spare. Result-neutral by core's
-// parity contract, so the choice never appears in cache keys.
-func (s *Service) runDegree() int {
-	if !s.cfg.RunParallel {
-		return 1
-	}
-	idle := s.pool.IdleSlots()
-	if idle <= 0 {
-		return 1
-	}
-	return core.ParallelDegree(1 + idle)
 }
 
 // cacheKey returns the normalized request's persistent-cache key: Priority
@@ -1064,9 +1032,6 @@ func (s *Service) Sweep(ctx context.Context, req SweepRequest) (SweepResult, err
 				CheckpointEvery: s.cfg.CheckpointEvery,
 				Env:             s.env,
 			}
-			if s.cfg.RunParallel {
-				so.RunParallel = core.MaxParallelDegree
-			}
 			sum, err := sweep.MeasureSummary(specs, cfgs, so)
 			if err != nil {
 				return err
@@ -1310,12 +1275,6 @@ type Stats struct {
 	Simulations int64 `json:"simulations"`
 	// DedupHits counts requests served by joining an in-flight twin.
 	DedupHits int64 `json:"dedup_hits"`
-	// RunsParallel counts completed simulation runs that executed with
-	// intra-run stage parallelism; ParallelDegree is the degree of the
-	// most recent one (0 until any parallel run completes). Process-wide,
-	// read from the same simulator-boundary atomics as /metrics.
-	RunsParallel   int64 `json:"runs_parallel"`
-	ParallelDegree int64 `json:"parallel_degree"`
 	// SuiteComputations and SweepComputations are the process-wide
 	// counters of actually-executed pipeline runs and sweep measurements.
 	SuiteComputations int64 `json:"suite_computations"`
@@ -1366,8 +1325,6 @@ func (s *Service) Stats() Stats {
 		RateLimited:        s.rateLimited.Value(),
 		Simulations:        s.sims.Load(),
 		DedupHits:          s.dedups.Load(),
-		RunsParallel:       core.SimRunsParallel(),
-		ParallelDegree:     core.SimParallelDegree(),
 		SuiteComputations:  experiment.SuiteComputations(),
 		SweepComputations:  sweep.MeasureComputations(),
 		CheckpointsWritten: sweep.CheckpointsWritten(),

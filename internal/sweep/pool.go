@@ -241,24 +241,6 @@ func (p *Pool) Pending() int {
 // InFlight returns the number of currently executing cells.
 func (p *Pool) InFlight() int64 { return p.inflight.Load() }
 
-// IdleSlots reports how many workers are idle with no queued cell waiting
-// to claim them — the spare capacity a running cell may borrow for
-// intra-run stage parallelism without displacing other work. Zero whenever
-// the queue is non-empty: a queued cell always outranks a speedup of one
-// already running. The value is advisory (both counters move under the
-// caller's feet); borrowers oversubscribe by at most their stage count,
-// which the scheduler absorbs.
-func (p *Pool) IdleSlots() int {
-	if p.Pending() > 0 {
-		return 0
-	}
-	idle := p.nworkers - int(p.inflight.Load())
-	if idle < 0 {
-		idle = 0
-	}
-	return idle
-}
-
 // Completed returns the number of finished cells.
 func (p *Pool) Completed() int64 { return p.completed.Load() }
 

@@ -66,13 +66,6 @@ type Options struct {
 	// Priority orders this sweep's cells against other work sharing the
 	// pool (higher first). Result-neutral.
 	Priority int
-	// RunParallel caps the intra-run parallelism degree a cell may use
-	// when the pool has idle workers and an empty queue — the ragged tail
-	// of a sweep, where leftover slots would otherwise sit unused while
-	// the last cells run single-threaded. 0 (the default) keeps every
-	// cell sequential; values above core's stage count are clamped.
-	// Result-neutral: core guarantees bit-identity at any degree.
-	RunParallel int
 	// Policy and PolicyParams select the adaptation policy
 	// (internal/control registry) of Phase-Adaptive runs whose config does
 	// not already carry one — primarily the MeasurePhase
@@ -254,27 +247,6 @@ func (o Options) executor() (exec, owned *Pool) {
 	return p, p
 }
 
-// cellDegree resolves the intra-run parallelism for one cell at the moment
-// it starts: 1 (sequential) unless the sweep opted in via RunParallel AND
-// the pool reports idle slots — then the cell claims those leftover slots
-// as pipeline stages, up to the configured cap. Consulted per cell, so a
-// sweep's wide middle runs every worker on its own cell and only the
-// ragged tail borrows spare capacity.
-func cellDegree(p *Pool, cap int) int {
-	if cap <= 1 {
-		return 1
-	}
-	idle := p.IdleSlots()
-	if idle <= 0 {
-		return 1
-	}
-	deg := 1 + idle
-	if deg > cap {
-		deg = cap
-	}
-	return core.ParallelDegree(deg)
-}
-
 func (o Options) apply(cfg core.Config) core.Config {
 	cfg.Seed = o.Seed
 	cfg.JitterFrac = o.JitterFrac
@@ -452,7 +424,7 @@ func runCells(specs []workload.Spec, cfgs []core.Config, o Options, skip func(ci
 					// path, so ctx-less sweeps cost exactly what they
 					// did; a cancelled cell delivers nothing.
 					simSpan := cellSpan.Child("replay+measure", "")
-					res, err := core.NewMachineSource(rec.Replay(), o.apply(cfgs[ci])).RunWith(ctx, o.Window, core.RunOptions{Degree: cellDegree(exec, o.RunParallel)})
+					res, err := core.NewMachineSource(rec.Replay(), o.apply(cfgs[ci])).RunWith(ctx, o.Window, core.RunOptions{})
 					simSpan.End()
 					if err != nil {
 						cellSpan.End()
@@ -904,7 +876,7 @@ func MeasurePhase(specs []workload.Spec, o Options) ([]*core.Result, error) {
 			if err != nil {
 				return // cancelled mid-recording: deliver nothing
 			}
-			res, err := core.NewMachineSource(rec.Replay(), cfg).RunWith(ctx, o.Window, core.RunOptions{Degree: cellDegree(exec, o.RunParallel)})
+			res, err := core.NewMachineSource(rec.Replay(), cfg).RunWith(ctx, o.Window, core.RunOptions{})
 			if err != nil {
 				return
 			}
