@@ -9,7 +9,7 @@ BENCHOUT  ?= BENCH_latest.txt
 MEMWINDOW ?= 60000
 MEMCACHE  ?= /tmp/gals-bench-mem-cache
 
-.PHONY: all build test test-short race vet allocs parity determinism chaos crash obs bench bench-json bench-suite bench-mem bench-smoke bench-e2e-smoke ci
+.PHONY: all build test test-short race vet allocs parity determinism chaos crash fuzz obs bench bench-json bench-suite bench-mem bench-smoke bench-e2e-smoke ci
 
 all: build
 
@@ -63,6 +63,13 @@ chaos:
 crash:
 	$(GO) test -race -run 'Crash|Resume|Scrub' ./...
 
+# Fuzz gate (also a CI step): FuzzClockEdges checks the clock's
+# division-free edge arithmetic against a plain / and % reference over
+# random epoch sequences. `go test ./...` replays only its seed corpus
+# (internal/clock/testdata/fuzz); this target mutates new inputs for 15 s.
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzClockEdges -fuzztime 15s ./internal/clock
+
 # Observability smoke (also a CI job): build galsd + galsload, then have
 # galsload launch the daemon, drive a short mixed closed loop against it,
 # scrape /metrics back and assert the instrumented loop is live (histogram
@@ -114,4 +121,4 @@ bench-smoke:
 bench-e2e-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-ci: build vet allocs race bench-smoke bench-e2e-smoke
+ci: build vet allocs race fuzz bench-smoke bench-e2e-smoke

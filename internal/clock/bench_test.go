@@ -1,0 +1,52 @@
+package clock
+
+import (
+	"testing"
+
+	"gals/internal/timing"
+)
+
+// BenchmarkClockEdge times the jitter-free edge queries the timing model
+// makes several times per simulated instruction. Each query's input
+// depends on the previous result, so ns/op is a query's latency.
+//
+//   - on-grid: After(t, 1) from an edge, as most queries of a synchronous
+//     run are;
+//   - off-grid: EdgeAtOrAfter from between two edges;
+//   - pre-lock-epoch: After from between two edges of a historical epoch,
+//     as a Phase-Adaptive machine queries between a reconfiguration
+//     decision and its PLL lock;
+//   - SyncPath.Sync: a cross-domain transfer between two final epochs.
+func BenchmarkClockEdge(b *testing.B) {
+	fe := timing.PeriodFS(1770)
+	b.Run("on-grid", func(b *testing.B) {
+		c := New(FrontEnd, fe, 1, 0)
+		t := timing.FS(0)
+		for b.Loop() {
+			t = c.After(t, 1)
+		}
+	})
+	b.Run("off-grid", func(b *testing.B) {
+		c := New(FrontEnd, fe, 1, 0)
+		t := timing.FS(0)
+		for b.Loop() {
+			t = c.EdgeAtOrAfter(t + 7)
+		}
+	})
+	b.Run("pre-lock-epoch", func(b *testing.B) {
+		c := New(LoadStore, timing.PeriodFS(1590), 1, 0)
+		// The new period locks far beyond any time the loop reaches.
+		c.SetPeriodAt(1<<60, timing.PeriodFS(1150))
+		t := timing.FS(0)
+		for b.Loop() {
+			t = c.After(t+7, 1)
+		}
+	})
+	b.Run("SyncPath.Sync", func(b *testing.B) {
+		p := NewSyncPath(New(Integer, timing.PeriodFS(1449), 1, 0), New(LoadStore, timing.PeriodFS(1790), 1, 0))
+		t := timing.FS(0)
+		for b.Loop() {
+			t = p.Sync(t + 7)
+		}
+	})
+}

@@ -12,6 +12,8 @@ package clock
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 
 	"gals/internal/timing"
@@ -55,34 +57,101 @@ const SyncThreshold = 0.3
 // it disables the jitter-free inline fast paths (used when jitter is on).
 const neverFast = timing.FS(1) << 62
 
-// epoch is a run of uniform clock periods starting at a known edge.
+// epoch is a run of uniform clock periods starting at a known edge. It
+// carries its period's invariant-divisor constants, so the jitter-free edge
+// queries never divide: an on-grid test is one multiply, a rotate and a
+// compare, and a remainder is one multiply-high plus one correction step.
 type epoch struct {
 	start  timing.FS // time of edge 0 of this epoch
 	period timing.FS
 	base   uint64 // global edge index of edge 0 (for jitter hashing)
+	// mag is floor((2^64-1)/period). It is both the multiply-high
+	// reciprocal of divmod and the bound of onGrid's divisibility test.
+	mag uint64
+	// inv is the inverse modulo 2^64 of the period's odd part, and shift
+	// the period's trailing zero count (period = odd << shift).
+	inv   uint64
+	shift int
+}
+
+// newEpoch returns the epoch starting at start with the given period and
+// base edge index, with its divisor constants computed once here (the only
+// division on the jitter-free paths).
+//
+// mag: write period = p and mag = floor((2^64-1)/p). Then 2^64/p - 1 - 1/p
+// < mag < 2^64/p, so for 0 <= d < 2^63 the product d*mag/2^64 lies within
+// d*(1+1/p)/2^64 < 1 below d/p, and its floor, the high word of d*mag, is
+// floor(d/p) or one less. divmod corrects that with a single step (Granlund
+// & Montgomery, "Division by Invariant Integers using Multiplication", PLDI
+// 1994).
+//
+// inv: p = odd << shift with odd odd, so odd is a unit modulo 2^64. x = odd
+// is its inverse to 3 bits (odd*odd = 1 mod 8), and each Newton step
+// x *= 2 - odd*x doubles the correct bits: 3, 6, 12, 24, 48, 96 after five.
+// d is a multiple of p exactly when rotr(d*inv, shift) <= mag (Hacker's
+// Delight, 2nd ed., section 10-17).
+func newEpoch(start, period timing.FS, base uint64) epoch {
+	p := uint64(period)
+	shift := bits.TrailingZeros64(p)
+	odd := p >> shift
+	inv := odd
+	for range 5 {
+		inv *= 2 - odd*inv
+	}
+	return epoch{start: start, period: period, base: base, mag: math.MaxUint64 / p, inv: inv, shift: shift}
+}
+
+// onGrid reports whether d is a multiple of the period.
+func (e *epoch) onGrid(d uint64) bool {
+	return bits.RotateLeft64(d*e.inv, -e.shift) <= e.mag
+}
+
+// divmod returns d / period and d % period, exactly for 0 <= d < 2^63.
+func (e *epoch) divmod(d uint64) (q, r uint64) {
+	q, _ = bits.Mul64(d, e.mag)
+	r = d - q*uint64(e.period)
+	if r >= uint64(e.period) {
+		q++
+		r -= uint64(e.period)
+	}
+	return q, r
+}
+
+// edgeAtOrAfter returns the first edge of e's jitter-free grid at or after
+// t, for t >= e.start.
+func (e *epoch) edgeAtOrAfter(t timing.FS) timing.FS {
+	d := uint64(t - e.start)
+	if e.onGrid(d) {
+		return t
+	}
+	_, r := e.divmod(d)
+	return t + e.period - timing.FS(r)
+}
+
+// nextEdge returns the first edge of e's jitter-free grid strictly after
+// t, for t >= e.start.
+func (e *epoch) nextEdge(t timing.FS) timing.FS {
+	d := uint64(t - e.start)
+	if e.onGrid(d) {
+		return t + e.period
+	}
+	_, r := e.divmod(d)
+	return t + e.period - timing.FS(r)
 }
 
 // Clock is a single domain's clock. The zero value is not usable; use New.
 type Clock struct {
-	domain Domain
-	epochs []epoch
-	// finalStart/finalPeriod/finalBase cache the final epoch (the one
-	// governing all future edges) so the hot query paths never rescan the
-	// epoch slice: every call at or after the last reconfiguration — the
-	// overwhelmingly common case — is answered from these scalars.
-	// fastStart equals finalStart when jitter is disabled and neverFast
-	// otherwise, folding the jitter test and the epoch test into one
-	// comparison on the fast paths.
-	fastStart   timing.FS
-	finalStart  timing.FS
-	finalPeriod timing.FS
-	finalBase   uint64
-	// finalInv is 1/finalPeriod: the fast paths turn their period modulo
-	// into a float multiply plus an exact integer correction (finalRem).
-	// This is not a measured win: in a dependent-chain microbenchmark on a
-	// 2-vCPU x86-64 host the reciprocal remainder took ~9.0 ns per step
-	// and a plain % ~4.8 ns.
-	finalInv float64
+	// final caches the final epoch (the one governing all future edges)
+	// so the hot query paths never rescan the epoch slice: every call at
+	// or after the last reconfiguration — the overwhelmingly common case —
+	// is answered from it. fastStart equals final.start when jitter is
+	// disabled and neverFast otherwise, folding the jitter test and the
+	// epoch test into one comparison on the fast paths. The two lead the
+	// struct so the fast paths read a single cache line.
+	fastStart timing.FS
+	final     epoch
+	domain    Domain
+	epochs    []epoch
 	// jitterFrac is the peak-to-peak jitter as a fraction of the period
 	// (0 disables jitter).
 	jitterFrac float64
@@ -102,35 +171,18 @@ func New(d Domain, period timing.FS, seed uint64, jitterFrac float64) *Clock {
 	if jitterFrac < 0 || jitterFrac > 0.05 {
 		panic(fmt.Sprintf("clock: jitter fraction %v out of range [0, 0.05]", jitterFrac))
 	}
+	e := newEpoch(0, period, 0)
 	c := &Clock{
-		domain:      d,
-		epochs:      []epoch{{start: 0, period: period, base: 0}},
-		finalStart:  0,
-		finalPeriod: period,
-		finalBase:   0,
-		jitterFrac:  jitterFrac,
-		seed:        seed ^ (uint64(d) * 0x9e3779b97f4a7c15),
+		domain:     d,
+		epochs:     []epoch{e},
+		final:      e,
+		jitterFrac: jitterFrac,
+		seed:       seed ^ (uint64(d) * 0x9e3779b97f4a7c15),
 	}
 	if jitterFrac != 0 {
 		c.fastStart = neverFast
 	}
-	c.finalInv = 1 / float64(period)
 	return c
-}
-
-// finalRem returns d mod finalPeriod (for d >= 0) via the precomputed
-// reciprocal. The float quotient can be off by a few ulps, so the result is
-// corrected back into [0, period) with cheap, well-predicted loops.
-func (c *Clock) finalRem(d timing.FS) timing.FS {
-	q := timing.FS(float64(d) * c.finalInv)
-	r := d - q*c.finalPeriod
-	for r < 0 {
-		r += c.finalPeriod
-	}
-	for r >= c.finalPeriod {
-		r -= c.finalPeriod
-	}
-	return r
 }
 
 // Domain returns the domain this clock drives.
@@ -138,29 +190,31 @@ func (c *Clock) Domain() Domain { return c.domain }
 
 // Period returns the clock period in effect at time t.
 func (c *Clock) Period(t timing.FS) timing.FS {
-	if t >= c.finalStart {
-		return c.finalPeriod
-	}
 	return c.epochAt(t).period
 }
 
 // CurrentPeriod returns the period of the most recent epoch (the one that
 // governs all future edges).
-func (c *Clock) CurrentPeriod() timing.FS { return c.finalPeriod }
+func (c *Clock) CurrentPeriod() timing.FS { return c.final.period }
 
 // epochAt returns the epoch governing time t.
-func (c *Clock) epochAt(t timing.FS) epoch {
-	if t >= c.finalStart {
-		return epoch{start: c.finalStart, period: c.finalPeriod, base: c.finalBase}
+func (c *Clock) epochAt(t timing.FS) *epoch {
+	if t >= c.final.start {
+		return &c.final
 	}
-	// Historical epochs are few (one per reconfiguration); scan from the
-	// back. Index len-1 is the final epoch, already excluded above.
-	for i := len(c.epochs) - 2; i > 0; i-- {
+	return &c.epochs[c.epochIndexAt(t)]
+}
+
+// epochIndexAt returns the index of the epoch governing time t. Historical
+// epochs are few (one per reconfiguration) and queries into them land in
+// the last one or two, so it scans from the back.
+func (c *Clock) epochIndexAt(t timing.FS) int {
+	for i := len(c.epochs) - 1; i > 0; i-- {
 		if c.epochs[i].start <= t {
-			return c.epochs[i]
+			return i
 		}
 	}
-	return c.epochs[0]
+	return 0
 }
 
 // jitter returns the deterministic jitter offset of global edge index n.
@@ -179,23 +233,19 @@ func (c *Clock) jitter(n uint64, period timing.FS) timing.FS {
 }
 
 // edgeTime returns the time of local edge n of epoch e.
-func (c *Clock) edgeTime(e epoch, n uint64) timing.FS {
+func (c *Clock) edgeTime(e *epoch, n uint64) timing.FS {
 	t := e.start + timing.FS(n)*e.period
 	return t + c.jitter(e.base+n, e.period)
 }
 
 // EdgeAtOrAfter returns the time of the first clock edge at or after t.
-// With jitter disabled (the default) this is pure integer arithmetic: no
-// hash, no probe loop, and — in the common case of t at or after the last
-// reconfiguration — no epoch scan either. It does not inline: the
-// compiler (go build -gcflags=-m=2) costs it at 128 against the budget of
-// 80, and NextEdge and After at 119 and 139.
+// With jitter disabled (the default) this is division-free integer
+// arithmetic: no hash, no probe loop, and — in the common case of t at or
+// after the last reconfiguration — no epoch scan either. A t already on an
+// edge, as most queries are, costs only the on-grid test.
 func (c *Clock) EdgeAtOrAfter(t timing.FS) timing.FS {
 	if t >= c.fastStart {
-		if r := c.finalRem(t - c.fastStart); r != 0 {
-			return t + c.finalPeriod - r
-		}
-		return t
+		return c.final.edgeAtOrAfter(t)
 	}
 	return c.edgeAtOrAfterRare(t)
 }
@@ -210,10 +260,7 @@ func (c *Clock) edgeAtOrAfterRare(t timing.FS) timing.FS {
 	if t <= e.start {
 		return e.start
 	}
-	if r := (t - e.start) % e.period; r != 0 {
-		return t + e.period - r
-	}
-	return t
+	return e.edgeAtOrAfter(t)
 }
 
 // edgeAtOrAfterSlow is the jittered path: locate the governing epoch, then
@@ -240,9 +287,23 @@ func (c *Clock) edgeAtOrAfterSlow(t timing.FS) timing.FS {
 // NextEdge returns the time of the first clock edge strictly after t.
 func (c *Clock) NextEdge(t timing.FS) timing.FS {
 	if t >= c.fastStart {
-		return t + c.finalPeriod - c.finalRem(t-c.fastStart)
+		return c.final.nextEdge(t)
 	}
-	return c.edgeAtOrAfterRare(t + 1)
+	return c.nextEdgeRare(t)
+}
+
+// nextEdgeRare is NextEdge for jittered clocks and historical epochs. Each
+// epoch starts on its predecessor's edge grid, so the next edge of the
+// epoch governing t is the clock's next edge even across a boundary.
+func (c *Clock) nextEdgeRare(t timing.FS) timing.FS {
+	if c.jitterFrac != 0 {
+		return c.edgeAtOrAfterSlow(t + 1)
+	}
+	e := c.epochAt(t)
+	if t < e.start {
+		return e.start
+	}
+	return e.nextEdge(t)
 }
 
 // After returns the time of the edge n cycles after the first edge at or
@@ -250,17 +311,18 @@ func (c *Clock) NextEdge(t timing.FS) timing.FS {
 // charging an n-cycle latency that begins at time t. Negative n panics.
 func (c *Clock) After(t timing.FS, n int) timing.FS {
 	if t >= c.fastStart && n >= 0 {
-		r := c.finalRem(t - c.fastStart)
-		if r != 0 {
-			r = c.finalPeriod - r
-		}
-		return t + r + timing.FS(n)*c.finalPeriod
+		return c.final.edgeAtOrAfter(t) + timing.FS(n)*c.final.period
 	}
 	return c.afterRare(t, n)
 }
 
 // afterRare handles negative n (panics), jittered clocks, and jitter-free
-// starts inside historical epochs.
+// starts inside historical epochs (between a reconfiguration decision and
+// its PLL lock completion). The latter walk epoch boundaries analytically.
+// Each epoch's start lies on its predecessor's edge grid (SetPeriodAt
+// places it with EdgeAtOrAfter), so an epoch holds the n edges after tt
+// exactly when tt+n*period reaches no further than the next epoch's start,
+// and the cycles spent crossing an epoch are an exact quotient.
 func (c *Clock) afterRare(t timing.FS, n int) timing.FS {
 	if n < 0 {
 		panic("clock: negative cycle count")
@@ -268,58 +330,35 @@ func (c *Clock) afterRare(t timing.FS, n int) timing.FS {
 	if c.jitterFrac != 0 {
 		return c.afterSlow(t, n)
 	}
-	return c.afterHistorical(t, n)
-}
-
-// afterHistorical charges n jitter-free cycles starting inside a historical
-// epoch (between a reconfiguration decision and its PLL lock completion),
-// walking epoch boundaries analytically. Each epoch's start lies on its
-// predecessor's edge grid (SetPeriodAt places it with EdgeAtOrAfter), so
-// the per-epoch cycle count is an exact division.
-func (c *Clock) afterHistorical(t timing.FS, n int) timing.FS {
 	i := c.epochIndexAt(t)
-	e := c.epochs[i]
+	e := &c.epochs[i]
 	tt := e.start
 	if t > e.start {
-		tt = t
-		if r := (t - e.start) % e.period; r != 0 {
-			tt += e.period - r
-		}
+		tt = e.edgeAtOrAfter(t)
 	}
-	for n > 0 && i < len(c.epochs)-1 {
+	for ; i < len(c.epochs)-1; i++ {
 		next := c.epochs[i+1].start
-		k := int((next - tt) / c.epochs[i].period)
-		if n <= k {
-			return tt + timing.FS(n)*c.epochs[i].period
+		if end := tt + timing.FS(n)*e.period; end <= next {
+			return end
 		}
-		n -= k
+		k, _ := e.divmod(uint64(next - tt))
+		n -= int(k)
 		tt = next
-		i++
+		e = &c.epochs[i+1]
 	}
-	return tt + timing.FS(n)*c.epochs[i].period
-}
-
-// epochIndexAt returns the index of the epoch governing time t.
-func (c *Clock) epochIndexAt(t timing.FS) int {
-	for i := len(c.epochs) - 1; i > 0; i-- {
-		if c.epochs[i].start <= t {
-			return i
-		}
-	}
-	return 0
+	return tt + timing.FS(n)*e.period
 }
 
 // afterSlow is the jittered path of After.
 func (c *Clock) afterSlow(t timing.FS, n int) timing.FS {
 	tt := c.EdgeAtOrAfter(t)
 	for n > 0 {
-		if tt >= c.finalStart {
+		if tt >= c.final.start {
 			// Entirely inside the final epoch: jump analytically. The
 			// index of tt within the epoch is recovered by rounding
 			// (jitter is a small fraction of the period).
-			k := uint64((tt - c.finalStart + c.finalPeriod/2) / c.finalPeriod)
-			e := epoch{start: c.finalStart, period: c.finalPeriod, base: c.finalBase}
-			return c.edgeTime(e, k+uint64(n))
+			k := uint64((tt - c.final.start + c.final.period/2) / c.final.period)
+			return c.edgeTime(&c.final, k+uint64(n))
 		}
 		// Near a historical epoch boundary (rare: only right around a
 		// reconfiguration): step edge by edge.
@@ -336,7 +375,7 @@ func (c *Clock) SetPeriodAt(t timing.FS, period timing.FS) {
 	if period <= 0 {
 		panic(fmt.Sprintf("clock: non-positive period %d", period))
 	}
-	last := c.epochs[len(c.epochs)-1]
+	last := c.final
 	start := c.EdgeAtOrAfter(t)
 	if start < last.start {
 		panic(fmt.Sprintf("clock: period change at %d precedes epoch start %d", start, last.start))
@@ -344,15 +383,17 @@ func (c *Clock) SetPeriodAt(t timing.FS, period timing.FS) {
 	if period == last.period {
 		return
 	}
+	// elapsed = ceil((start - last.start) / last.period).
 	elapsed := uint64(0)
 	if start > last.start {
-		elapsed = uint64((start - last.start + last.period - 1) / last.period)
+		q, r := last.divmod(uint64(start - last.start))
+		elapsed = q
+		if r != 0 {
+			elapsed++
+		}
 	}
-	c.epochs = append(c.epochs, epoch{start: start, period: period, base: last.base + elapsed})
-	c.finalStart = start
-	c.finalPeriod = period
-	c.finalBase = last.base + elapsed
-	c.finalInv = 1 / float64(period)
+	c.final = newEpoch(start, period, last.base+elapsed)
+	c.epochs = append(c.epochs, c.final)
 	c.gen++
 	if c.jitterFrac == 0 {
 		c.fastStart = start
@@ -402,7 +443,7 @@ func Sync(producer, consumer *Clock, tp timing.FS) timing.FS {
 // millions of times. The path caches SyncThreshold * min(period) and
 // revalidates with one generation comparison per call, falling back to the
 // exact Sync for queries into historical epochs (between a reconfiguration
-// decision and its PLL lock).
+// decision and its PLL lock) and for a jittered consumer.
 //
 // A SyncPath is NOT safe for concurrent use; give each simulation its own
 // (machines already own their clocks).
@@ -411,8 +452,10 @@ type SyncPath struct {
 	// gen is the sum of both clocks' reconfiguration counts at the last
 	// refresh; both only ever increment, so any change invalidates.
 	gen uint64
-	// validFrom is the earliest time the cached threshold applies to
-	// (the later of the two final-epoch starts).
+	// validFrom is the earliest time the cached threshold and the
+	// consumer's final edge grid apply to: the later of the producer's
+	// final-epoch start and the consumer's fastStart (which lies beyond
+	// any simulated time when the consumer jitters).
 	validFrom timing.FS
 	// threshold is SyncThreshold * min(final periods), in femtoseconds.
 	threshold float64
@@ -430,12 +473,9 @@ func NewSyncPath(producer, consumer *Clock) *SyncPath {
 
 func (p *SyncPath) refresh() {
 	p.gen = p.producer.gen + p.consumer.gen
-	p.validFrom = p.producer.finalStart
-	if p.consumer.finalStart > p.validFrom {
-		p.validFrom = p.consumer.finalStart
-	}
-	fast := p.producer.finalPeriod
-	if cp := p.consumer.finalPeriod; cp < fast {
+	p.validFrom = max(p.producer.final.start, p.consumer.fastStart)
+	fast := p.producer.final.period
+	if cp := p.consumer.final.period; cp < fast {
 		fast = cp
 	}
 	p.threshold = SyncThreshold * float64(fast)
@@ -451,14 +491,17 @@ func (p *SyncPath) Sync(tp timing.FS) timing.FS {
 		p.refresh()
 	}
 	if tp < p.validFrom {
-		// Transfer inside a historical epoch: rare (only in the window
-		// between a reconfiguration decision and its lock), so take the
-		// exact per-call path.
+		// Transfer inside a historical epoch (only in the window between
+		// a reconfiguration decision and its lock) or to a jittered
+		// consumer: take the exact per-call path.
 		return Sync(p.producer, p.consumer, tp)
 	}
-	tc := p.consumer.EdgeAtOrAfter(tp)
+	// tc is an edge of the consumer's final grid, so its next edge is one
+	// period on.
+	final := &p.consumer.final
+	tc := final.edgeAtOrAfter(tp)
 	if float64(tc-tp) < p.threshold {
-		tc = p.consumer.NextEdge(tc)
+		tc += final.period
 	}
 	return tc
 }

@@ -179,6 +179,11 @@ func multiEpoch(jitterFrac float64) *Clock {
 	return c
 }
 
+// deepTime spreads a sample over [0, 2^50) fs.
+func deepTime(raw uint32, low uint16) timing.FS {
+	return timing.FS(raw)<<18 | timing.FS(low)
+}
+
 // TestFastSlowPathEquivalence proves the jitter-free integer fast paths of
 // EdgeAtOrAfter/NextEdge/After agree with the generic probe-loop slow path
 // on every query, across epochs.
@@ -201,8 +206,12 @@ func TestFastSlowPathEquivalence(t *testing.T) {
 	f := func(raw uint32, cycles uint16) bool {
 		n := int(cycles % 600) // enough cycles to cross several epochs
 		// Concentrate on the historical epochs and their boundaries
-		// (0..250M fs) and also sample deep into the final epoch.
-		return check(timing.FS(raw%250_000_000), n) && check(timing.FS(raw)*3, n)
+		// (0..250M fs), and also sample deep into the final epoch up to
+		// 2^50 fs (a 1M-instruction run reaches ~1e12 fs), both between
+		// edges and on one.
+		deep := deepTime(raw, cycles)
+		return check(timing.FS(raw%250_000_000), n) && check(timing.FS(raw)*3, n) &&
+			check(deep, n) && check(c.edgeAtOrAfterSlow(deep), n)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -226,7 +235,8 @@ func TestVanishingJitterEquivalence(t *testing.T) {
 	slow := multiEpoch(1e-12) // jitter < 1 fs at any modeled period
 	f := func(raw uint32, cycles uint8) bool {
 		n := int(cycles % 40)
-		for _, tt := range []timing.FS{timing.FS(raw % 250_000_000), timing.FS(raw) * 3} {
+		deep := deepTime(raw, uint16(cycles))
+		for _, tt := range []timing.FS{timing.FS(raw % 250_000_000), timing.FS(raw) * 3, deep, slow.EdgeAtOrAfter(deep)} {
 			if fast.EdgeAtOrAfter(tt) != slow.EdgeAtOrAfter(tt) ||
 				fast.NextEdge(tt) != slow.NextEdge(tt) ||
 				fast.After(tt, n) != slow.After(tt, n) {
@@ -245,16 +255,15 @@ func TestVanishingJitterEquivalence(t *testing.T) {
 func TestFinalEpochCacheCoherent(t *testing.T) {
 	c := multiEpoch(0)
 	last := c.epochs[len(c.epochs)-1]
-	if c.finalStart != last.start || c.finalPeriod != last.period || c.finalBase != last.base {
-		t.Fatalf("final-epoch cache (%d,%d,%d) != last epoch (%d,%d,%d)",
-			c.finalStart, c.finalPeriod, c.finalBase, last.start, last.period, last.base)
+	if c.final != last {
+		t.Fatalf("final-epoch cache %+v != last epoch %+v", c.final, last)
 	}
 	if got := c.CurrentPeriod(); got != last.period {
 		t.Errorf("CurrentPeriod = %d, want %d", got, last.period)
 	}
 	// A no-op period change must not disturb the cache.
 	c.SetPeriodAt(300_000_000, last.period)
-	if c.finalPeriod != last.period || c.finalStart != last.start {
+	if c.final != last {
 		t.Error("no-op SetPeriodAt disturbed the final-epoch cache")
 	}
 }
