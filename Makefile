@@ -3,7 +3,8 @@
 # can track the perf trajectory against the committed PERFORMANCE.md table.
 
 GO        ?= go
-BENCH     ?= BenchmarkSimulator|BenchmarkTrace|BenchmarkAccountingCache|BenchmarkBranchPredictor|BenchmarkFUPool
+BENCH     ?= BenchmarkSimulator|BenchmarkTrace|BenchmarkAccountingCache|BenchmarkBranchPredictor|BenchmarkFUPool|BenchmarkWindow
+BENCHPKGS ?= . ./internal/core
 COUNT     ?= 5
 BENCHOUT  ?= BENCH_latest.txt
 MEMWINDOW ?= 60000
@@ -82,10 +83,12 @@ obs:
 	./bin/galsload -launch -galsd-bin ./bin/galsd -duration 3s -concurrency 4 -assert
 
 # Micro-benchmarks of the simulator's hot paths: fast enough to run on
-# every PR. Results land in $(BENCHOUT) for before/after comparison
-# (benchstat-compatible: COUNT=5 repetitions by default).
+# every PR. The simulator benchmarks live in the root package, the FU-pool
+# and window component benchmarks in internal/core. Results land in
+# $(BENCHOUT) for before/after comparison (benchstat-compatible: COUNT=5
+# repetitions by default).
 bench:
-	$(GO) test -run '^$$' -bench '$(BENCH)' -benchmem -count $(COUNT) . | tee $(BENCHOUT)
+	$(GO) test -run '^$$' -bench '$(BENCH)' -benchmem -count $(COUNT) $(BENCHPKGS) | tee $(BENCHOUT)
 
 # Same micro-benchmarks, but the results also land as machine-readable JSON
 # (BENCH_<timestamp>.json unless BENCHJSON overrides it): name, ns/op, B/op,
@@ -94,7 +97,7 @@ bench:
 # artifact so perf history is diffable without parsing bench text.
 BENCHJSON ?= BENCH_$(shell date +%Y%m%dT%H%M%S).json
 bench-json:
-	$(GO) test -run '^$$' -bench '$(BENCH)' -benchmem -count $(COUNT) . | $(GO) run ./cmd/benchjson -o $(BENCHJSON)
+	$(GO) test -run '^$$' -bench '$(BENCH)' -benchmem -count $(COUNT) $(BENCHPKGS) | $(GO) run ./cmd/benchjson -o $(BENCHJSON)
 
 # The full Figure-6 pipeline benchmark (minutes of wall time): the headline
 # end-to-end number recorded in PERFORMANCE.md.

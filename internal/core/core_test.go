@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -69,17 +70,34 @@ func TestWindowFloorProperty(t *testing.T) {
 
 func TestFUPoolPicksEarliest(t *testing.T) {
 	p := newFUPool(2)
-	busy := func(until timing.FS) func(timing.FS) timing.FS {
-		return func(s timing.FS) timing.FS { return s + until }
+	u1, s1 := p.take(100)
+	p.avail[u1] = s1 + 50
+	u2, s2 := p.take(100)
+	p.avail[u2] = s2 + 50
+	if s1 != 100 || s2 != 100 || u1 == u2 {
+		t.Fatalf("two units should both start at 100: got unit %d at %d, unit %d at %d", u1, s1, u2, s2)
 	}
-	s1 := p.acquire(100, busy(50))
-	s2 := p.acquire(100, busy(50))
-	if s1 != 100 || s2 != 100 {
-		t.Fatalf("two units should both start at 100: got %d, %d", s1, s2)
+	// Both busy until 150: a third op waits, on the first unit.
+	if u3, s3 := p.take(100); u3 != 0 || s3 != 150 {
+		t.Errorf("third op took unit %d at %d, want unit 0 at 150", u3, s3)
 	}
-	// Both busy until 150: a third op waits.
-	if s3 := p.acquire(100, busy(50)); s3 != 150 {
-		t.Errorf("third op started at %d, want 150", s3)
+}
+
+// BenchmarkWindow times one push and one floor(n) read in a dependent
+// chain (each push is the read's result plus one) at the ROB shape (256
+// deep, reading the retire width) and the issue-queue shape (64 deep,
+// reading the issue width).
+func BenchmarkWindow(b *testing.B) {
+	for _, c := range []struct{ depth, read int }{{ROBEntries, RetireWidth}, {iqDepth, IssueWidth}} {
+		b.Run(fmt.Sprintf("depth=%d/read=%d", c.depth, c.read), func(b *testing.B) {
+			w := newWindow(c.depth)
+			var t timing.FS
+			for i := 0; i < b.N; i++ {
+				t = max(t, w.floor(c.read)) + 1
+				w.push(t)
+			}
+			sinkFS = t
+		})
 	}
 }
 
@@ -96,6 +114,75 @@ func TestRunDeterministic(t *testing.T) {
 			t.Errorf("%v: nondeterministic statistics", cfg.Mode)
 		}
 	}
+}
+
+// TestBandwidthInvariants checks the per-cycle widths without goldens: in
+// every organization, fused and streamed, at most DecodeWidth instructions
+// share a rename time and at most RetireWidth share a commit time, and
+// neither time ever decreases. The widths are read from the fetch-queue and
+// ROB windows, whose pushes carry the same times.
+func TestBandwidthInvariants(t *testing.T) {
+	const n = 30_000
+	for _, name := range []string{"gcc", "em3d", "apsi", "mst"} {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			rec := bench(t, name).Record(n)
+			// The recording's first Phase-Adaptive run notes it and the
+			// second builds its stream, so the third replays the stream.
+			for i := 0; i < 2; i++ {
+				NewMachineSource(rec.Replay(), phaseCfg()).Run(n)
+			}
+			machines := []struct {
+				label    string
+				m        *Machine
+				streamed bool
+			}{
+				{"sync", NewMachineSource(rec.Replay(), DefaultSync()), false},
+				{"program", NewMachineSource(rec.Replay(), DefaultAdaptive(ProgramAdaptive)), false},
+				{"phase/fused", NewMachineSource(fused{rec.Replay()}, phaseCfg()), false},
+				{"phase/stream", NewMachineSource(rec.Replay(), phaseCfg()), true},
+			}
+			for _, c := range machines {
+				m := c.m
+				m.useStream(n)
+				if streamed := m.fs != nil; streamed != c.streamed {
+					t.Fatalf("%s: streamed = %v, want %v", c.label, streamed, c.streamed)
+				}
+				rename := widthCheck{what: "renamed", width: DecodeWidth}
+				commit := widthCheck{what: "committed", width: RetireWidth}
+				for i := int64(0); i < n; i++ {
+					m.steps(1)
+					rename.next(t, c.label, i, m.lastRename)
+					commit.next(t, c.label, i, m.lastCommit)
+				}
+			}
+		})
+	}
+}
+
+// widthCheck follows one in-order stage's times: they must never decrease,
+// and at most width consecutive instructions may share one.
+type widthCheck struct {
+	what  string
+	width int
+	prev  timing.FS
+	same  int
+}
+
+func (w *widthCheck) next(t *testing.T, label string, i int64, at timing.FS) {
+	t.Helper()
+	switch {
+	case at < w.prev:
+		t.Fatalf("%s: instruction %d %s at %d, before %d", label, i, w.what, at, w.prev)
+	case at == w.prev:
+		w.same++
+	default:
+		w.same = 1
+	}
+	if w.same > w.width {
+		t.Fatalf("%s: %d instructions %s at %d, width %d", label, w.same, w.what, at, w.width)
+	}
+	w.prev = at
 }
 
 func TestRunBasicInvariants(t *testing.T) {

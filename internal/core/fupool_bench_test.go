@@ -1,50 +1,57 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"gals/internal/timing"
 )
 
-// linearFUPool is the pre-free-list implementation, kept as the benchmark
-// baseline: an unconditional argmin scan over unit availability.
-type linearFUPool struct {
-	avail []timing.FS
-}
-
-func (f *linearFUPool) acquire(t timing.FS, busy func(start timing.FS) timing.FS) timing.FS {
+// scanTake is the reference for fuPool.take: a plain first-smallest-index
+// scan over unit availability.
+func scanTake(avail []timing.FS, t timing.FS) (int, timing.FS) {
 	best := 0
-	for i := 1; i < len(f.avail); i++ {
-		if f.avail[i] < f.avail[best] {
+	for i := range avail {
+		if avail[i] < avail[best] {
 			best = i
 		}
 	}
 	start := t
-	if f.avail[best] > start {
-		start = f.avail[best]
+	if avail[best] > start {
+		start = avail[best]
 	}
-	f.avail[best] = busy(start)
-	return start
+	return best, start
 }
 
-// TestFUPoolFreeListMatchesScan pins the free-list fast path to the linear
-// scan: identical start times and identical unit bookkeeping through the
-// cold (free units remain) and warm (all booked) regimes, including
-// non-monotonic acquire times.
-func TestFUPoolFreeListMatchesScan(t *testing.T) {
+// TestFUPoolTakeMatchesScan pins take to the reference scan: the same unit,
+// the same start time and the same availability of every unit after each
+// booking, over seeded random request sequences whose times go backwards
+// as well as forwards and whose availability times tie often (a coarse
+// grid of times and occupancies).
+func TestFUPoolTakeMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
 	for _, n := range []int{1, 2, 4, 8} {
-		a := newFUPool(n)
-		b := &linearFUPool{avail: make([]timing.FS, n)}
-		ts := []timing.FS{0, 3, 1, 7, 7, 2, 40, 12, 13, 99, 5, 100, 101, 250, 60}
-		for i, at := range ts {
-			busy := func(s timing.FS) timing.FS { return s + 5 }
-			ga, gb := a.acquire(at, busy), b.acquire(at, busy)
-			if ga != gb {
-				t.Fatalf("n=%d step %d: free-list start %d, scan start %d", n, i, ga, gb)
-			}
-			for u := range a.avail {
-				if a.avail[u] != b.avail[u] {
-					t.Fatalf("n=%d step %d: unit %d avail diverged (%d vs %d)", n, i, u, a.avail[u], b.avail[u])
+		for seq := 0; seq < 20; seq++ {
+			p := newFUPool(n)
+			ref := make([]timing.FS, n)
+			var base timing.FS
+			for i := 0; i < 200; i++ {
+				base += timing.FS(rng.Intn(3)) * 10
+				at := max(0, base+timing.FS(rng.Intn(8)-4)*10)
+				occ := timing.FS(1+rng.Intn(3)) * 10
+				gu, gs := p.take(at)
+				wu, ws := scanTake(ref, at)
+				if gu != wu || gs != ws {
+					t.Fatalf("n=%d seq %d step %d: take(%d) = unit %d start %d, scan unit %d start %d",
+						n, seq, i, at, gu, gs, wu, ws)
+				}
+				p.avail[gu] = gs + occ
+				ref[wu] = ws + occ
+				for u := range ref {
+					if p.avail[u] != ref[u] {
+						t.Fatalf("n=%d seq %d step %d: unit %d avail %d, scan %d", n, seq, i, u, p.avail[u], ref[u])
+					}
 				}
 			}
 		}
@@ -53,56 +60,40 @@ func TestFUPoolFreeListMatchesScan(t *testing.T) {
 
 var sinkFS timing.FS
 
-// BenchmarkFUPoolAcquire compares the bitmask free-list against the linear
-// scan in both regimes. "cold" re-creates the pool every width acquires, so
-// every call takes the TrailingZeros64 path (the regime of the 1-wide
-// mul/div pools on integer-heavy workloads, and of every pool at run
-// start); "warm" saturates the pool first, so every call falls through to
-// the exact argmin scan (the steady-state ALU-pool regime — the free-list
-// costs one branch there).
+// BenchmarkFUPoolAcquire times one take-and-book in a dependent chain at
+// the mul/div (1 unit) and ALU (4 units) pool widths: each request is
+// ready when the previous one started, and a seeded mix of occupancies
+// (mostly pipelined, some unpipelined) makes the unit that frees first
+// vary. "scan" runs the branching reference scan on the same requests.
 func BenchmarkFUPoolAcquire(b *testing.B) {
-	const width = 4
-	busy := func(s timing.FS) timing.FS { return s + 3 }
-
-	b.Run("freelist/cold", func(b *testing.B) {
-		p := newFUPool(width)
-		for i := 0; i < b.N; i++ {
-			if i%width == 0 {
-				p.free = (1 << width) - 1
-				for u := range p.avail {
-					p.avail[u] = 0
-				}
+	rng := rand.New(rand.NewSource(1))
+	occ := make([]timing.FS, 1024)
+	for i := range occ {
+		occ[i] = 1
+		if rng.Intn(4) == 0 {
+			occ[i] = timing.FS(2 + rng.Intn(12))
+		}
+	}
+	for _, width := range []int{IntMulDivs, IntALUs} {
+		b.Run(fmt.Sprintf("take/units=%d", width), func(b *testing.B) {
+			p := newFUPool(width)
+			var t timing.FS
+			for i := 0; i < b.N; i++ {
+				u, start := p.take(t)
+				p.avail[u] = start + occ[i&1023]
+				t = start
 			}
-			sinkFS = p.acquire(timing.FS(i), busy)
-		}
-	})
-	b.Run("linear/cold", func(b *testing.B) {
-		p := &linearFUPool{avail: make([]timing.FS, width)}
-		for i := 0; i < b.N; i++ {
-			if i%width == 0 {
-				for u := range p.avail {
-					p.avail[u] = 0
-				}
+			sinkFS = t
+		})
+		b.Run(fmt.Sprintf("scan/units=%d", width), func(b *testing.B) {
+			avail := make([]timing.FS, width)
+			var t timing.FS
+			for i := 0; i < b.N; i++ {
+				u, start := scanTake(avail, t)
+				avail[u] = start + occ[i&1023]
+				t = start
 			}
-			sinkFS = p.acquire(timing.FS(i), busy)
-		}
-	})
-	b.Run("freelist/warm", func(b *testing.B) {
-		p := newFUPool(width)
-		for u := 0; u < width; u++ {
-			p.acquire(0, busy)
-		}
-		for i := 0; i < b.N; i++ {
-			sinkFS = p.acquire(timing.FS(i), busy)
-		}
-	})
-	b.Run("linear/warm", func(b *testing.B) {
-		p := &linearFUPool{avail: make([]timing.FS, width)}
-		for u := 0; u < width; u++ {
-			p.acquire(0, busy)
-		}
-		for i := 0; i < b.N; i++ {
-			sinkFS = p.acquire(timing.FS(i), busy)
-		}
-	})
+			sinkFS = t
+		})
+	}
 }

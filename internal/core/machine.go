@@ -1,9 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"math/bits"
-
 	"gals/internal/bpred"
 	"gals/internal/cache"
 	"gals/internal/clock"
@@ -24,8 +21,11 @@ import (
 // modulo: push/floor run tens of times per simulated instruction and the
 // int64 divisions dominated the simulator's profile. Unpushed slots hold
 // the zero value, which floor naturally reports as "no constraint", so no
-// separate fill counter is needed. floor requires 0 < n <= capacity (every
-// call site passes a structure capacity bounded by the window's).
+// separate fill counter is needed. floor requires 0 < n <= capacity. A
+// window may carry several limits over the same pushes: floor(n) reads only
+// the n-th most recent push, so a per-cycle bandwidth limit is a shallow
+// read of the deeper structure's window (the depth guards below keep every
+// such read within capacity).
 type window struct {
 	buf  []timing.FS
 	head int // next write position
@@ -53,62 +53,45 @@ func (w *window) floor(n int) timing.FS {
 	return w.buf[i]
 }
 
-// fuPool models a set of identical functional units. A uint64 free-list
-// tracks units that have never been booked (avail == 0): while any bit is
-// set, acquire takes the lowest free unit via bits.TrailingZeros64 without
-// scanning availability times. The booked units' avail values are strictly
-// positive (busy times are clock edges after time 0), so a free unit is
-// always the global minimum and the lowest-set-bit choice reproduces the
-// linear scan's first-smallest-index selection exactly — the fast path is
-// bit-identical to the scan, it just skips it. Once all units have been
-// booked (a few dozen instructions into a run for the ALU pools; much
-// later, or never, for the 1-wide mul/div pools on workloads light in
-// those classes), the exact argmin scan takes over.
+// iqDepth is the depth of the issue-queue windows: the largest adaptive
+// issue queue.
+const iqDepth = int(timing.IQ64)
+
+// Each shared window must be at least as deep as every floor read from
+// it; a constant change that breaks one of these fails the build (a
+// negative array length).
+var (
+	_ [FetchQueueEntries - DecodeWidth]struct{} // fetchQ carries the rename width
+	_ [ROBEntries - RetireWidth]struct{}        // rob carries the retire width
+	_ [iqDepth - IssueWidth]struct{}            // intQ/fpQ carry the issue width
+	_ [iqDepth - int(timing.IQ64)]struct{}      // ... and every queue size
+)
+
+// fuPool models a set of identical functional units by the time each unit
+// is next available. take picks a unit; the caller books it by writing
+// avail[unit].
 type fuPool struct {
 	avail []timing.FS
-	free  uint64 // bit i set <=> avail[i] == 0 (unit never booked)
 }
 
 func newFUPool(n int) *fuPool {
-	if n < 1 || n > 64 {
-		panic(fmt.Sprintf("core: fuPool size %d out of range [1, 64]", n))
-	}
-	return &fuPool{avail: make([]timing.FS, n), free: (uint64(1) << n) - 1}
+	return &fuPool{avail: make([]timing.FS, n)}
 }
 
-// acquire returns the earliest start time >= t on any unit and books the
-// unit until busyUntil(start). The free-list take lives in its own
-// function so the saturated path's codegen stays as tight as the plain
-// scan (measured: folding the take inline cost ~5% at simulator level).
-func (f *fuPool) acquire(t timing.FS, busy func(start timing.FS) timing.FS) timing.FS {
-	if f.free != 0 {
-		return f.acquireFree(t, busy)
-	}
-	best := 0
-	for i := 1; i < len(f.avail); i++ {
-		if f.avail[i] < f.avail[best] {
-			best = i
+// take returns the first unit with the smallest availability time and the
+// earliest start >= t on it. The argmin is a compare-and-select loop with
+// no data-dependent branch (the compiler emits conditional moves): which
+// unit frees first follows the workload's timing, so a branch on it
+// mispredicts often.
+func (f *fuPool) take(t timing.FS) (unit int, start timing.FS) {
+	a := f.avail
+	best := a[0]
+	for i := 1; i < len(a); i++ {
+		if v := a[i]; v < best {
+			unit, best = i, v
 		}
 	}
-	start := t
-	if f.avail[best] > start {
-		start = f.avail[best]
-	}
-	f.avail[best] = busy(start)
-	return start
-}
-
-// acquireFree books the lowest never-booked unit: its avail of 0 is the
-// pool-wide minimum (booked units are strictly positive), and the lowest
-// set bit matches the scan's first-smallest-index tie-break, so the result
-// is bit-identical to scanning.
-//
-//go:noinline
-func (f *fuPool) acquireFree(t timing.FS, busy func(start timing.FS) timing.FS) timing.FS {
-	i := bits.TrailingZeros64(f.free)
-	f.free &^= 1 << i
-	f.avail[i] = busy(t)
-	return t
+	return unit, max(t, best)
 }
 
 // storeEntry is one slot of the store-forwarding table.
@@ -192,21 +175,16 @@ type Machine struct {
 	l1LatA, l1LatB int
 	l2LatA, l2LatB int
 
-	// Structural windows.
-	rob      *window // commit times; ROBEntries
-	fetchQ   *window // rename times; FetchQueueEntries
-	intQ     *window // issue times of int-queue ops; capacity 64
-	fpQ      *window // issue times of fp-queue ops; capacity 64
-	lsq      *window // commit times of memory ops; LSQEntries
-	intRegs  *window // commit times of int-dest ops; PhysIntRegs-NumIntRegs
-	fpRegs   *window // commit times of fp-dest ops
-	fetchBW  *window // fetch group starts (1 line/cycle)
-	renameBW *window // rename grants; DecodeWidth per cycle
-	intIssue *window // issue grants; IssueWidth per cycle
-	fpIssue  *window
-	commitBW *window // commit grants; RetireWidth per cycle
-	dports   *window // D-cache port grants; DCachePorts per cycle
-	mshr     *window // outstanding-miss completion times
+	// Structural windows, each with the limits read from it.
+	rob     *window // commit times: ROBEntries; RetireWidth per cycle
+	fetchQ  *window // rename times: FetchQueueEntries; DecodeWidth per cycle
+	intQ    *window // issue times of int-queue ops: intIQ; IssueWidth per cycle
+	fpQ     *window // issue times of fp-queue ops: fpIQ; IssueWidth per cycle
+	lsq     *window // commit times of memory ops: LSQEntries
+	intRegs *window // commit times of int-dest ops: PhysIntRegs-NumIntRegs
+	fpRegs  *window // commit times of fp-dest ops: PhysFPRegs-NumFPRegs
+	dports  *window // D-cache port grants: DCachePorts per cycle
+	mshr    *window // outstanding-miss completion times: MSHREntries
 
 	intFU  *fuPool // IntALU
 	intMul *fuPool
@@ -218,9 +196,8 @@ type Machine struct {
 	regDomain [64]clock.Domain
 
 	// Store-forwarding table.
-	stores  [storeTableSize]storeEntry
-	memSeq  int64 // memory-op sequence counter
-	loadSeq int64
+	stores [storeTableSize]storeEntry
+	memSeq int64 // memory-op sequence counter
 
 	// Fetch state.
 	curLine     uint64
@@ -470,16 +447,11 @@ func newMachine(src InstSource, cfg Config) *Machine {
 	// Windows and pools.
 	m.rob = newWindow(ROBEntries)
 	m.fetchQ = newWindow(FetchQueueEntries)
-	m.intQ = newWindow(64)
-	m.fpQ = newWindow(64)
+	m.intQ = newWindow(iqDepth)
+	m.fpQ = newWindow(iqDepth)
 	m.lsq = newWindow(LSQEntries)
-	m.intRegs = newWindow(PhysIntRegs - 32)
-	m.fpRegs = newWindow(PhysFPRegs - 32)
-	m.fetchBW = newWindow(1)
-	m.renameBW = newWindow(DecodeWidth)
-	m.intIssue = newWindow(IssueWidth)
-	m.fpIssue = newWindow(IssueWidth)
-	m.commitBW = newWindow(RetireWidth)
+	m.intRegs = newWindow(PhysIntRegs - isa.NumIntRegs)
+	m.fpRegs = newWindow(PhysFPRegs - isa.NumFPRegs)
 	m.dports = newWindow(DCachePorts)
 	m.mshr = newWindow(MSHREntries)
 	m.intFU = newFUPool(IntALUs)

@@ -190,7 +190,7 @@ func (m *Machine) step(in *isa.Inst) {
 	// Rename / dispatch (front-end domain, in order).
 	rn := fe.After(fetch, frontDepth)
 	rn = maxFS(rn, m.lastRename)
-	rn = maxFS(rn, fe.NextEdge(m.renameBW.floor(DecodeWidth)))
+	rn = maxFS(rn, fe.NextEdge(m.fetchQ.floor(DecodeWidth)))
 	rn = maxFS(rn, m.rob.floor(ROBEntries))
 	if in.Dest.Valid() {
 		if in.Dest.IsFP() {
@@ -210,7 +210,6 @@ func (m *Machine) step(in *isa.Inst) {
 	}
 	rn = fe.EdgeAtOrAfter(rn)
 	m.lastRename = rn
-	m.renameBW.push(rn)
 	m.fetchQ.push(rn)
 
 	// ILP tracking happens at rename (Section 3.2). In a streamed run the
@@ -264,10 +263,9 @@ func (m *Machine) step(in *isa.Inst) {
 	// ------------------------------------------------------------------
 	// Commit (in order, retire width per front-end cycle).
 	c := maxFS(clock.Align(m.clocks[execDomain], fe, complete), m.lastCommit)
-	c = maxFS(c, fe.NextEdge(m.commitBW.floor(RetireWidth)))
+	c = maxFS(c, fe.NextEdge(m.rob.floor(RetireWidth)))
 	c = fe.After(c, 1)
 	m.lastCommit = c
-	m.commitBW.push(c)
 	m.rob.push(c)
 	if in.Class.IsMem() {
 		m.lsq.push(c)
@@ -311,15 +309,15 @@ func (m *Machine) execCompute(in *isa.Inst, dom clock.Domain) timing.FS {
 	ready = maxFS(ready, m.srcReady(in.Src1, dom))
 	ready = maxFS(ready, m.srcReady(in.Src2, dom))
 
-	var issueBW, qWin *window
+	var qWin *window
 	var alu, mul *fuPool
 	if dom == clock.FloatingPoint {
-		issueBW, qWin, alu, mul = m.fpIssue, m.fpQ, m.fpFU, m.fpMul
+		qWin, alu, mul = m.fpQ, m.fpFU, m.fpMul
 	} else {
-		issueBW, qWin, alu, mul = m.intIssue, m.intQ, m.intFU, m.intMul
+		qWin, alu, mul = m.intQ, m.intFU, m.intMul
 		ready = maxFS(ready, m.minIntIssue)
 	}
-	ready = maxFS(ready, ck.NextEdge(issueBW.floor(IssueWidth)))
+	ready = maxFS(ready, ck.NextEdge(qWin.floor(IssueWidth)))
 	ready = ck.EdgeAtOrAfter(ready)
 
 	pool := alu
@@ -328,13 +326,12 @@ func (m *Machine) execCompute(in *isa.Inst, dom clock.Domain) timing.FS {
 		pool = mul
 	}
 	lat := in.Class.Latency()
-	start := pool.acquire(ready, func(s timing.FS) timing.FS {
-		if in.Class.Pipelined() {
-			return ck.After(s, 1)
-		}
-		return ck.After(s, lat)
-	})
-	issueBW.push(start)
+	occupancy := lat
+	if in.Class.Pipelined() {
+		occupancy = 1
+	}
+	u, start := pool.take(ready)
+	pool.avail[u] = ck.After(start, occupancy)
 	qWin.push(start)
 	return ck.After(start, lat)
 }
@@ -454,10 +451,10 @@ func (m *Machine) addrGen(in *isa.Inst) timing.FS {
 	}
 	ready = maxFS(ready, m.srcReady(base, clock.Integer))
 	ready = maxFS(ready, m.minIntIssue)
-	ready = maxFS(ready, ck.NextEdge(m.intIssue.floor(IssueWidth)))
+	ready = maxFS(ready, ck.NextEdge(m.intQ.floor(IssueWidth)))
 	ready = ck.EdgeAtOrAfter(ready)
-	start := m.intFU.acquire(ready, func(s timing.FS) timing.FS { return ck.After(s, 1) })
-	m.intIssue.push(start)
+	u, start := m.intFU.take(ready)
+	m.intFU.avail[u] = ck.After(start, 1)
 	m.intQ.push(start)
 	return ck.After(start, 1)
 }
