@@ -64,12 +64,16 @@ chaos:
 crash:
 	$(GO) test -race -run 'Crash|Resume|Scrub' ./...
 
-# Fuzz gate (also a CI step): FuzzClockEdges checks the clock's
+# Fuzz gate (also two CI steps): FuzzClockEdges checks the clock's
 # division-free edge arithmetic against a plain / and % reference over
-# random epoch sequences. `go test ./...` replays only its seed corpus
-# (internal/clock/testdata/fuzz); this target mutates new inputs for 15 s.
+# random epoch sequences; FuzzSweepCheckpoint decodes arbitrary bytes as a
+# sweep checkpoint and checks that restore never panics and an accepted
+# checkpoint seals to a well-formed summary. `go test ./...` replays only
+# their seed corpora (testdata/fuzz in each package); this target mutates
+# new inputs for 15 s each.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzClockEdges -fuzztime 15s ./internal/clock
+	$(GO) test -run '^$$' -fuzz FuzzSweepCheckpoint -fuzztime 15s ./internal/sweep
 
 # Observability smoke (also a CI job): build galsd + galsload, then have
 # galsload launch the daemon, drive a short mixed closed loop against it,

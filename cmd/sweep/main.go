@@ -44,7 +44,6 @@ func main() {
 		only     = flag.String("bench", "", "restrict to one benchmark (adaptive stages only)")
 		cache    = flag.String("cache", "", "persistent cache directory: results + mmap-replayed recordings (repeated sweeps become incremental)")
 		memstats = flag.Bool("memstats", false, "report peak heap and peak RSS after the sweep")
-		topk     = flag.Int("topk", 0, "retain only the K best configurations for the ranking report (memory stops scaling with design-space size; 0 = full scores)")
 		policies = flag.String("policies", "", `adaptation-policy sweep: settings as "name[:k=v,k=v][@blobfile]" separated by ';' (e.g. "paper;frozen;interval:interval=7500;learned@weights.json"); runs an extra Phase-Adaptive policy stage`)
 	)
 	flag.Parse()
@@ -61,16 +60,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sweep: -pllscale must be >= 0, got %g\n", *pll)
 		os.Exit(2)
 	}
-	if *topk < 0 {
-		fmt.Fprintf(os.Stderr, "sweep: -topk must be >= 0, got %d\n", *topk)
-		os.Exit(2)
-	}
 	settings, err := parsePolicies(*policies)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sweep:", err)
 		os.Exit(2)
 	}
-	opts := sweep.Options{Window: *window, Workers: *workers, PLLScale: *pll, TopK: *topk}.WithDefaults()
+	opts := sweep.Options{Window: *window, Workers: *workers, PLLScale: *pll}.WithDefaults()
 	if *cache != "" {
 		env, err := gals.OpenCache(*cache)
 		if err != nil {
@@ -126,33 +121,31 @@ func main() {
 	fmt.Printf("best overall synchronous: %s  (%.1fs)\n", syncCfgs[syncSum.Best].Label(), time.Since(start).Seconds())
 
 	// Show the ranking of the synchronous space (geomean run time relative
-	// to the best) for the most informative configurations. With -topk the
-	// sweep retained only the K best scores (Summary.Top); otherwise the
-	// full Scores slice is sorted here.
-	var rank []sweep.RankedConfig
-	if *topk > 0 {
-		rank = syncSum.Top
-	} else {
-		for ci := range syncCfgs {
-			s := syncSum.Scores[ci]
-			if syncSum.Invalid[ci] { // no valid measurement: disqualify
-				s = math.Inf(1)
-			}
-			rank = append(rank, sweep.RankedConfig{Config: ci, Score: s})
-		}
-		sort.Slice(rank, func(i, j int) bool { return rank[i].Score < rank[j].Score })
+	// to the best) for the most informative configurations: the sweep's
+	// full Scores, sorted here.
+	type ranked struct {
+		cfg   int
+		score float64
 	}
+	rank := make([]ranked, len(syncCfgs))
+	for ci := range rank {
+		rank[ci] = ranked{ci, syncSum.Scores[ci]}
+		if syncSum.Invalid[ci] { // no valid measurement: disqualify
+			rank[ci].score = math.Inf(1)
+		}
+	}
+	sort.Slice(rank, func(i, j int) bool { return rank[i].score < rank[j].score })
 	n := float64(len(specs))
 	fmt.Println("top synchronous configurations (geomean vs best):")
 	for i := 0; i < 10 && i < len(rank); i++ {
-		rel := math.Exp((rank[i].Score - rank[0].Score) / n)
-		fmt.Printf("  %2d. %-44s %+.2f%%\n", i+1, syncCfgs[rank[i].Config].Label(), (rel-1)*100)
+		rel := math.Exp((rank[i].score - rank[0].score) / n)
+		fmt.Printf("  %2d. %-44s %+.2f%%\n", i+1, syncCfgs[rank[i].cfg].Label(), (rel-1)*100)
 	}
 	for i, r := range rank {
-		c := syncCfgs[r.Config]
+		c := syncCfgs[r.cfg]
 		if timing.SyncICacheSpecAt(c.SyncICache).Name == "64k1W" && c.DCache == timing.DCache32K1W &&
 			c.IntIQ == timing.IQ16 && c.FPIQ == timing.IQ16 {
-			rel := math.Exp((r.Score - rank[0].Score) / n)
+			rel := math.Exp((r.score - rank[0].score) / n)
 			fmt.Printf("  paper's best-sync config ranks #%d: %-30s %+.2f%%\n", i+1, c.Label(), (rel-1)*100)
 		}
 	}
@@ -189,12 +182,9 @@ func main() {
 	if len(settings) > 0 {
 		fmt.Printf("\npolicy sweep: %d policies x %d benchmarks\n", len(settings), len(specs))
 		polCfgs := sweep.PhaseSpace(settings)
-		// Full scores (never top-K) for the per-policy table; the summary's
-		// ranking guards disqualify a policy with a non-positive run time
-		// instead of poisoning the geomean.
-		polOpts := opts
-		polOpts.TopK = 0
-		polSum := measure(polCfgs, polOpts)
+		// The summary's ranking guards disqualify a policy with a
+		// non-positive run time instead of poisoning the geomean.
+		polSum := measure(polCfgs, opts)
 		fmt.Printf("%-40s %12s %10s\n", "policy", "geomean(us)", "vs first")
 		for i, ps := range settings {
 			label := ps.Name

@@ -47,9 +47,18 @@ func (r *SuiteResult) PhaseImprovement(i int) float64 {
 	return sweep.Improvement(r.SyncTimes[i], r.PhaseResults[i].TimeFS)
 }
 
+// suiteCall is one suite computation in the process-local memo: done
+// closes once it finishes, and r is nil when it failed.
+type suiteCall struct {
+	done chan struct{}
+	r    *SuiteResult
+}
+
 var (
+	// suiteMu guards only the memo map; computations run outside it, so
+	// suites for different Options never wait on each other.
 	suiteMu       sync.Mutex
-	suiteCache    = map[Options]*SuiteResult{}
+	suiteCache    = map[Options]*suiteCall{}
 	suiteComputes atomic.Int64
 )
 
@@ -60,7 +69,7 @@ var (
 func ResetSuiteMemo() {
 	suiteMu.Lock()
 	defer suiteMu.Unlock()
-	suiteCache = map[Options]*SuiteResult{}
+	suiteCache = map[Options]*suiteCall{}
 }
 
 // normalized resolves defaulted fields, so Window 0 and the explicit
@@ -101,22 +110,60 @@ func SuiteComputations() int64 { return suiteComputes.Load() }
 // RunSuite executes the full evaluation pipeline (memoized per normalized
 // Options within the process: Figure 6, Table 9, Figure 7 and callers like
 // the benchmark harness share one best-synchronous sweep and one set of
-// Program-Adaptive searches).
+// Program-Adaptive searches). A caller whose Options are already being
+// computed waits for that computation, or for its own Ctx to end; if the
+// computation fails (say, its caller's ctx was cancelled), the waiter
+// computes the suite itself.
 func RunSuite(o Options) (*SuiteResult, error) {
 	o = o.normalized()
 	memo := o.memoKey()
-	suiteMu.Lock()
-	defer suiteMu.Unlock()
-	if r, ok := suiteCache[memo]; ok {
-		return r, nil
+	var cancelled <-chan struct{}
+	if o.Ctx != nil {
+		cancelled = o.Ctx.Done()
 	}
+	for {
+		suiteMu.Lock()
+		c, inFlight := suiteCache[memo]
+		if !inFlight {
+			c = &suiteCall{done: make(chan struct{})}
+			suiteCache[memo] = c
+		}
+		suiteMu.Unlock()
+		if !inFlight {
+			return c.compute(o, memo)
+		}
+		select {
+		case <-c.done:
+			if c.r != nil {
+				return c.r, nil
+			}
+		case <-cancelled:
+			return nil, o.Ctx.Err()
+		}
+	}
+}
+
+// compute runs the pipeline for the memo entry c (or loads it from the
+// persistent store). A failed computation leaves the memo, so the next
+// request for these Options starts afresh.
+func (c *suiteCall) compute(o, memo Options) (*SuiteResult, error) {
+	defer func() {
+		if c.r == nil {
+			suiteMu.Lock()
+			if suiteCache[memo] == c {
+				delete(suiteCache, memo)
+			}
+			suiteMu.Unlock()
+		}
+		close(c.done)
+	}()
 	key := resultcache.Key("suite", memo)
 	store := o.Env.Cache
 	if store != nil {
 		var cached SuiteResult
 		if store.Load(key, &cached) {
-			suiteCache[memo] = &cached
-			return &cached, nil
+			c.r = &cached
+			return c.r, nil
 		}
 	}
 	suiteComputes.Add(1)
@@ -173,19 +220,28 @@ func RunSuite(o Options) (*SuiteResult, error) {
 	}
 	r.MeanProg /= float64(len(specs))
 	r.MeanPhase /= float64(len(specs))
-	suiteCache[memo] = r
 	if store != nil {
 		store.Store(key, r)
 	}
+	c.r = r
 	return r, nil
 }
 
 // cachedSuite returns the memoized suite for o, or nil without computing
-// anything.
+// or waiting for anything.
 func cachedSuite(o Options) *SuiteResult {
 	suiteMu.Lock()
-	defer suiteMu.Unlock()
-	return suiteCache[o.memoKey()]
+	c := suiteCache[o.memoKey()]
+	suiteMu.Unlock()
+	if c == nil {
+		return nil
+	}
+	select {
+	case <-c.done:
+		return c.r
+	default:
+		return nil
+	}
 }
 
 // Figure6 regenerates paper Figure 6: per-application percent run-time
@@ -253,8 +309,9 @@ func Table9(o Options) (*Table, error) {
 // queue, both of which cycle with the applications' phases. When the suite
 // pipeline has already run for these Options (e.g. after figure6/table9),
 // its Phase-Adaptive results are reused verbatim — reconfiguration events
-// are always recorded there — so no simulation runs at all; otherwise only
-// the two sampled benchmarks run, replaying the shared trace pool.
+// are always recorded there — so no simulation runs at all; otherwise
+// sweep.MeasurePhase runs just the two sampled benchmarks under the same
+// options (policy, context, executor and persistence) as the suite would.
 func Figure7(o Options) (*Table, error) {
 	o = o.normalized()
 	t := &Table{
@@ -269,33 +326,32 @@ func Figure7(o Options) (*Table, error) {
 		{"apsi", "dcache"},
 		{"art", "int-iq"},
 	}
-	suite := cachedSuite(o)
-	for _, tr := range traces {
+	specs := make([]workload.Spec, len(traces))
+	for i, tr := range traces {
 		spec, ok := workload.ByName(tr.bench)
 		if !ok {
 			return nil, fmt.Errorf("experiment: missing benchmark %q", tr.bench)
 		}
-		var res *core.Result
-		if suite != nil {
+		specs[i] = spec
+	}
+	var results []*core.Result
+	if suite := cachedSuite(o); suite != nil {
+		for _, spec := range specs {
 			for i := range suite.Specs {
-				if suite.Specs[i].Name == tr.bench {
-					res = suite.PhaseResults[i]
-					break
+				if suite.Specs[i].Name == spec.Name {
+					results = append(results, suite.PhaseResults[i])
 				}
 			}
 		}
-		if res == nil {
-			cfg := core.DefaultAdaptive(core.PhaseAdaptive)
-			cfg.Seed = o.Seed
-			cfg.PLLScale = o.PLLScale
-			cfg.JitterFrac = o.JitterFrac
-			cfg.Policy = o.Policy
-			cfg.PolicyParams = o.PolicyParams
-			cfg.RecordTrace = true
-			res = core.RunWorkload(spec, cfg, o.Window)
+	} else {
+		var err error
+		if results, err = sweep.MeasurePhase(specs, o.sweepOptions()); err != nil {
+			return nil, err
 		}
+	}
+	for i, tr := range traces {
 		events := 0
-		for _, e := range res.Stats.ReconfigEvents {
+		for _, e := range results[i].Stats.ReconfigEvents {
 			if e.Kind != tr.kind {
 				continue
 			}

@@ -1,9 +1,14 @@
 package experiment
 
 import (
+	"context"
+	"errors"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
+	"gals/internal/learn"
 	"gals/internal/metrics"
 	"gals/internal/recstore"
 	"gals/internal/resultcache"
@@ -77,6 +82,92 @@ func TestFigure7SmallWindow(t *testing.T) {
 	}
 	if len(tab.Rows) == 0 {
 		t.Error("Figure 7 produced no trace rows")
+	}
+}
+
+// TestFigure7LearnedPolicyWithoutSuite: with no memoized suite, Figure 7
+// runs its two benchmarks under the requested policy selection, blob
+// included; a learned policy must reach the machine with its artifact.
+func TestFigure7LearnedPolicyWithoutSuite(t *testing.T) {
+	blob, err := learn.Artifact(sweep.Env{}, learn.TrainOptions{Window: 6_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := Options{Window: 4_100, PLLScale: 0.1, Seed: 42, Policy: "learned", PolicyBlob: blob}
+	if cachedSuite(o) != nil {
+		t.Fatal("test options already have a memoized suite")
+	}
+	tab, err := Figure7(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tab.Rows) < 2 {
+		t.Fatalf("Figure 7 has %d rows, want one per sampled benchmark at least", len(tab.Rows))
+	}
+}
+
+// TestFigure7HonoursCtx: the fallback runs under the caller's context, so
+// a cancelled request returns its error instead of simulating.
+func TestFigure7HonoursCtx(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := Figure7(Options{Window: 4_200, Ctx: ctx}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Figure7 under a cancelled ctx = %v, want context.Canceled", err)
+	}
+}
+
+// TestSuiteWaitHonoursCtx: while one suite computes, a cancelled request
+// returns context.Canceled promptly, whether it asks for other Options or
+// waits on the same computation; and the first computation, once
+// cancelled, leaves nothing in the memo.
+func TestSuiteWaitHonoursCtx(t *testing.T) {
+	if testing.Short() {
+		t.Skip("suite pipeline in -short mode")
+	}
+	p := sweep.NewPool(1, 0)
+	defer p.Close()
+	started := make(chan struct{})
+	var once sync.Once
+	p.SetObserver(func(time.Duration) { once.Do(func() { close(started) }) })
+	ctx, stop := context.WithCancel(context.Background())
+	defer stop()
+	running := Options{Window: 3_100, PLLScale: 0.1, Seed: 42, Exec: p, Ctx: ctx}
+	runErr := make(chan error, 1)
+	go func() {
+		_, err := RunSuite(running)
+		runErr <- err
+	}()
+	<-started
+
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	same := running
+	same.Exec, same.Ctx = nil, cancelled
+	for name, o := range map[string]Options{
+		"other options": {Window: 3_200, PLLScale: 0.1, Seed: 42, Ctx: cancelled},
+		"same options":  same,
+	} {
+		got := make(chan error, 1)
+		go func() {
+			_, err := RunSuite(o)
+			got <- err
+		}()
+		select {
+		case err := <-got:
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("%s: RunSuite = %v, want context.Canceled", name, err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Errorf("%s: a cancelled RunSuite waited on another suite's computation", name)
+		}
+	}
+
+	stop()
+	if err := <-runErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled suite computation = %v, want context.Canceled", err)
+	}
+	if cachedSuite(running) != nil {
+		t.Fatal("a cancelled suite computation was memoized")
 	}
 }
 

@@ -10,13 +10,12 @@
 //
 // Checkpoints ride the cache's atomic temp+rename writes (a crash mid-
 // checkpoint leaves the previous one intact) and are garbage-collected once
-// the parent summary lands: MeasureSummary removes its own on success, and
+// the parent artifact lands: persist removes a sweep's own on success, and
 // ScrubCheckpoints reaps orphans whose parent already exists (a crash after
 // the summary write but before the removal).
 package sweep
 
 import (
-	"container/heap"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -25,6 +24,7 @@ import (
 	"gals/internal/core"
 	"gals/internal/resultcache"
 	"gals/internal/timing"
+	"gals/internal/workload"
 )
 
 // ckptVersion is baked into every checkpoint blob; a mismatch (an old
@@ -73,18 +73,13 @@ type sweepCheckpoint struct {
 	SummaryKey string `json:"summary_key"`
 	NumSpecs   int    `json:"num_specs"`
 	NumCfgs    int    `json:"num_cfgs"`
-	TopK       int    `json:"topk,omitempty"`
 	// Done is the completed-cell bitmap (bit ci*NumSpecs+si).
 	Done []uint64 `json:"done"`
 	// Partial holds row buffers of configs with some but not all cells
 	// complete; fully-done configs are already folded into Sum.
 	Partial map[int][]timing.FS `json:"partial,omitempty"`
-	// Sum is the Summary folded over the fully-done configs so far (Top
-	// unsealed), BestScore its winner's score, Rank the K-bounded ranking
-	// heap contents when TopK > 0.
-	Sum       *Summary       `json:"sum"`
-	BestScore float64        `json:"best_score"`
-	Rank      []RankedConfig `json:"rank,omitempty"`
+	// Sum is the Summary folded over the fully-done configs so far.
+	Sum *Summary `json:"sum"`
 }
 
 // checkpoint snapshots the accumulator into a persistable blob. Every
@@ -95,9 +90,8 @@ func (a *summaryAcc) checkpoint(sumKey string) *sweepCheckpoint {
 	defer a.mu.Unlock()
 	ck := &sweepCheckpoint{
 		Version: ckptVersion, SummaryKey: sumKey,
-		NumSpecs: a.specs, NumCfgs: len(a.left), TopK: a.topk,
-		Done:      append([]uint64(nil), a.done...),
-		BestScore: a.bestScore,
+		NumSpecs: a.specs, NumCfgs: len(a.left),
+		Done: append([]uint64(nil), a.done...),
 	}
 	if len(a.rows) > 0 {
 		ck.Partial = make(map[int][]timing.FS, len(a.rows))
@@ -105,54 +99,30 @@ func (a *summaryAcc) checkpoint(sumKey string) *sweepCheckpoint {
 			ck.Partial[ci] = append([]timing.FS(nil), row...)
 		}
 	}
-	if a.topk > 0 {
-		ck.Rank = append([]RankedConfig(nil), a.rank...)
-	}
 	s := *a.sum
 	s.PerApp = append([]int(nil), a.sum.PerApp...)
 	s.PerAppTimes = append([]timing.FS(nil), a.sum.PerAppTimes...)
 	s.BestTimes = append([]timing.FS(nil), a.sum.BestTimes...)
-	if a.topk <= 0 {
-		s.Scores = append([]float64(nil), a.sum.Scores...)
-		s.Invalid = append([]bool(nil), a.sum.Invalid...)
-	}
+	s.Scores = append([]float64(nil), a.sum.Scores...)
+	s.Invalid = append([]bool(nil), a.sum.Invalid...)
 	ck.Sum = &s
 	return ck
 }
 
 // restore rebuilds a summaryAcc from a loaded checkpoint, or returns nil
 // when the blob doesn't match the request (stale version, different
-// dimensions or aggregation mode) or is internally inconsistent — every
-// nil here degrades to a cold sweep, never a wrong answer.
-func (ck *sweepCheckpoint) restore(nspecs, ncfgs, topk int) *summaryAcc {
-	if ck.Version != ckptVersion || ck.NumSpecs != nspecs || ck.NumCfgs != ncfgs || ck.TopK != topk {
+// dimensions) or is internally inconsistent — every nil here degrades to
+// a cold sweep, never a wrong answer.
+func (ck *sweepCheckpoint) restore(nspecs, ncfgs int) *summaryAcc {
+	if ck.Version != ckptVersion || ck.NumSpecs != nspecs || ck.NumCfgs != ncfgs {
 		return nil
 	}
 	if len(ck.Done) != bitWords(nspecs*ncfgs) || ck.Sum == nil {
 		return nil
 	}
-	s := ck.Sum
-	if !summaryShapeOK(s, nspecs, ncfgs, topk) || len(s.PerAppTimes) != nspecs {
-		return nil
-	}
-	if topk <= 0 && len(s.Invalid) != ncfgs {
-		return nil
-	}
-	if s.Best < -1 || s.Best >= ncfgs || len(ck.Rank) > topk {
-		return nil
-	}
-	a := newSummaryAcc(nspecs, ncfgs, topk)
+	a := newSummaryAcc(nspecs, ncfgs)
 	a.done = append([]uint64(nil), ck.Done...)
-	a.sum = s
-	a.sum.Top = nil // sealed by finish, never live mid-sweep
-	a.bestScore = ck.BestScore
-	if topk > 0 {
-		// The heap's internal layout is not part of the checkpoint contract:
-		// Less is a total order, so re-heapifying the same multiset yields
-		// identical eviction decisions and an identical sealed ranking.
-		a.rank = append(rankHeap(nil), ck.Rank...)
-		heap.Init(&a.rank)
-	}
+	folded := false
 	for ci := 0; ci < ncfgs; ci++ {
 		n := 0
 		for si := 0; si < nspecs; si++ {
@@ -161,7 +131,12 @@ func (ck *sweepCheckpoint) restore(nspecs, ncfgs, topk int) *summaryAcc {
 			}
 		}
 		a.left[ci] = nspecs - n
+		folded = folded || n == nspecs
 	}
+	if !summaryShapeOK(ck.Sum, nspecs, ncfgs, folded) {
+		return nil
+	}
+	a.sum = ck.Sum
 	for ci, row := range ck.Partial {
 		if ci < 0 || ci >= ncfgs || len(row) != nspecs ||
 			a.left[ci] == 0 || a.left[ci] == nspecs {
@@ -234,11 +209,52 @@ func (a *phaseAcc) checkpoint(sumKey string) *phaseCheckpoint {
 	}
 }
 
-func (a *phaseAcc) restore(ck *phaseCheckpoint) {
-	a.mu.Lock()
-	copy(a.out, ck.Out)
-	copy(a.done, ck.Done)
-	a.mu.Unlock()
+// runResumable runs the cells through runCells under the sweep's
+// checkpoint at ckKey. done is a restored checkpoint's completed-cell
+// bitmap (bit ci*len(specs)+si; nil when starting cold), and the cells it
+// marks are skipped. Every delivery may write a periodic checkpoint of
+// snap(), and a run that fails after delivering anything flushes a final
+// one regardless of the interval, so a cancelled or shed sweep resumes
+// warm instead of cold; a run that delivered nothing new leaves any prior
+// checkpoint as-is.
+func runResumable(specs []workload.Spec, cfgs []core.Config, o Options, ckKey string, done []uint64,
+	snap func() any, sink func(ci, si int, res *core.Result)) error {
+	var skip func(ci, si int) bool
+	if done != nil {
+		ckptResumes.Add(1)
+		resumedCells.Add(int64(popcount(done)))
+		skip = func(ci, si int) bool { return bitSet(done, ci*len(specs)+si) }
+	}
+	store := o.Env.Cache
+	w := newCkptWriter(store, ckKey, o.CheckpointEvery, snap)
+	var progressed atomic.Bool
+	err := runCells(specs, cfgs, o, skip, func(ci, si int, res *core.Result) {
+		sink(ci, si, res)
+		progressed.Store(true)
+		w.maybe()
+	})
+	if err != nil && progressed.Load() && store != nil {
+		store.Store(ckKey, snap())
+		ckptWrites.Add(1)
+	}
+	return err
+}
+
+// persist writes a computed sweep artifact under key and garbage-collects
+// its now superseded checkpoint. Stores without a deletion side (plain
+// map-backed test stores) just keep the orphan; ScrubCheckpoints reaps
+// those on restart. Without a persistent store it does nothing.
+func (o Options) persist(kind, key, ckKey string, v any) {
+	store := o.Env.Cache
+	if store == nil {
+		return
+	}
+	span := o.Tracer.Start("persist", kind)
+	store.Store(key, v)
+	span.End()
+	if r, ok := store.(resultcache.Remover); ok {
+		r.Remove(ckKey)
+	}
 }
 
 // ckptWriter throttles periodic checkpoint writes from the cell sink: at
@@ -281,26 +297,6 @@ func (w *ckptWriter) maybe() {
 	ckptWrites.Add(1)
 	w.last.Store(time.Now().UnixNano())
 	w.writing.Store(false)
-}
-
-// flushCheckpoint is the cancellation path: persist the final accumulator
-// state unconditionally (no interval gate) so a shutdown mid-sweep resumes
-// warm after restart.
-func flushCheckpoint(store resultcache.Store, key string, snap func() any) {
-	if store == nil {
-		return
-	}
-	store.Store(key, snap())
-	ckptWrites.Add(1)
-}
-
-// removeCheckpoint garbage-collects a checkpoint once its parent summary
-// is durable. Stores without a deletion side (plain map-backed test
-// stores) just keep the orphan; ScrubCheckpoints reaps those on restart.
-func removeCheckpoint(store resultcache.Store, key string) {
-	if r, ok := store.(resultcache.Remover); ok {
-		r.Remove(key)
-	}
 }
 
 // ScrubCheckpoints garbage-collects checkpoints whose parent summary

@@ -54,86 +54,77 @@ func cancelAfterCells(t *testing.T, p *Pool, n int) context.Context {
 }
 
 // TestCheckpointResumeBitIdenticalSummary is the crash-safety contract for
-// MeasureSummary, in both aggregation modes: a sweep cancelled mid-flight
-// flushes a progress checkpoint, the rerun restores it (skipping the
-// completed cells), and the resumed summary is byte-identical — same JSON
-// encoding, including tie-breaks and the sealed TopK ranking — to a sweep
-// that was never interrupted.
+// MeasureSummary: a sweep cancelled mid-flight flushes a progress
+// checkpoint, the rerun restores it (skipping the completed cells), and the
+// resumed summary is byte-identical — same JSON encoding, including
+// tie-breaks — to a sweep that was never interrupted.
 func TestCheckpointResumeBitIdenticalSummary(t *testing.T) {
 	specs := workload.Suite()[:3]
 	cfgs := AdaptiveSpace()[:8]
 
-	for _, tc := range []struct {
-		name string
-		topk int
-	}{
-		{"full-scores", 0},
-		{"topk", 3},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			o := Options{Window: 2_000, Workers: 2, TopK: tc.topk}
+	t.Run("full-scores", func(t *testing.T) {
+		o := Options{Window: 2_000, Workers: 2}
 
-			// Cold baseline in its own store: never interrupted.
-			ref, err := resultcache.Open(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := MeasureSummary(specs, cfgs, withCache(o, ref))
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantJSON, err := json.Marshal(want)
-			if err != nil {
-				t.Fatal(err)
-			}
+		// Cold baseline in its own store: never interrupted.
+		ref, err := resultcache.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := MeasureSummary(specs, cfgs, withCache(o, ref))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantJSON, err := json.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-			c, _ := openCkptCache(t)
-			o = withCache(o, c)
-			p := NewPool(2, 1024)
-			defer p.Close()
-			oc := o
-			oc.Exec = p
-			oc.Ctx = cancelAfterCells(t, p, 5)
-			if _, err := MeasureSummary(specs, cfgs, oc); !errors.Is(err, context.Canceled) {
-				t.Fatalf("interrupted MeasureSummary = %v, want context.Canceled", err)
-			}
-			ckKey := o.WithDefaults().measureKey("sweepckpt", specs, cfgs)
-			if !c.Has(ckKey) {
-				t.Fatal("no checkpoint flushed by the cancelled sweep")
-			}
+		c, _ := openCkptCache(t)
+		o = withCache(o, c)
+		p := NewPool(2, 1024)
+		defer p.Close()
+		oc := o
+		oc.Exec = p
+		oc.Ctx = cancelAfterCells(t, p, 5)
+		if _, err := MeasureSummary(specs, cfgs, oc); !errors.Is(err, context.Canceled) {
+			t.Fatalf("interrupted MeasureSummary = %v, want context.Canceled", err)
+		}
+		ckKey := o.WithDefaults().measureKey("sweepckpt", specs, cfgs)
+		if !c.Has(ckKey) {
+			t.Fatal("no checkpoint flushed by the cancelled sweep")
+		}
 
-			resumesBefore, cellsBefore := CheckpointsResumed(), ResumedCells()
-			got, err := MeasureSummary(specs, cfgs, o)
-			if err != nil {
-				t.Fatalf("resumed MeasureSummary: %v", err)
-			}
-			if CheckpointsResumed() != resumesBefore+1 {
-				t.Fatal("rerun did not restore the checkpoint")
-			}
-			if ResumedCells() <= cellsBefore {
-				t.Fatal("resume skipped zero completed cells")
-			}
-			gotJSON, err := json.Marshal(got)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(gotJSON, wantJSON) {
-				t.Fatalf("resumed summary not bit-identical to uninterrupted run:\n%s\n%s", gotJSON, wantJSON)
-			}
-			if c.Has(ckKey) {
-				t.Fatal("checkpoint not garbage-collected after the summary landed")
-			}
-			// The persisted summary must serve the same bytes on the next call.
-			var cached Summary
-			if !c.Load(o.WithDefaults().measureKey("sweepsum", specs, cfgs), &cached) {
-				t.Fatal("summary was not persisted after the resume")
-			}
-			cachedJSON, _ := json.Marshal(&cached)
-			if !bytes.Equal(cachedJSON, wantJSON) {
-				t.Fatal("persisted summary bytes differ from the uninterrupted run's")
-			}
-		})
-	}
+		resumesBefore, cellsBefore := CheckpointsResumed(), ResumedCells()
+		got, err := MeasureSummary(specs, cfgs, o)
+		if err != nil {
+			t.Fatalf("resumed MeasureSummary: %v", err)
+		}
+		if CheckpointsResumed() != resumesBefore+1 {
+			t.Fatal("rerun did not restore the checkpoint")
+		}
+		if ResumedCells() <= cellsBefore {
+			t.Fatal("resume skipped zero completed cells")
+		}
+		gotJSON, err := json.Marshal(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotJSON, wantJSON) {
+			t.Fatalf("resumed summary not bit-identical to uninterrupted run:\n%s\n%s", gotJSON, wantJSON)
+		}
+		if c.Has(ckKey) {
+			t.Fatal("checkpoint not garbage-collected after the summary landed")
+		}
+		// The persisted summary must serve the same bytes on the next call.
+		var cached Summary
+		if !c.Load(o.WithDefaults().measureKey("sweepsum", specs, cfgs), &cached) {
+			t.Fatal("summary was not persisted after the resume")
+		}
+		cachedJSON, _ := json.Marshal(&cached)
+		if !bytes.Equal(cachedJSON, wantJSON) {
+			t.Fatal("persisted summary bytes differ from the uninterrupted run's")
+		}
+	})
 }
 
 // TestCheckpointResumePhaseBitIdentical is the same contract for
@@ -352,4 +343,65 @@ func TestScrubCheckpointsReapsOnlyOrphans(t *testing.T) {
 	if n := ScrubCheckpoints(c); n != 0 {
 		t.Fatalf("second ScrubCheckpoints reaped %d, want 0", n)
 	}
+}
+
+// parentCheckpoint is a "sweepckpt" blob as an earlier release wrote it
+// (2 benchmarks x 3 configurations, cancelled after three cells): config 1
+// folded, config 2 half done, plus the since-dropped best_score field. It is
+// also the fuzz corpus's "parent-format" seed.
+const parentCheckpoint = `{"version":1,"summary_key":"sweepsum/e0cac3578d528cbb2cdbe0ceac4bd0a3804e48666770ccb8d2152258dde903a1","num_specs":2,"num_cfgs":3,"done":[28],"partial":{"2":[4474578240,0]},"sum":{"NumSpecs":2,"NumCfgs":3,"Best":1,"BestTimes":[4474578240,4524860748],"PerApp":[1,1],"PerAppTimes":[4474578240,4524860748],"Scores":[0,44.45453057588904,0],"Invalid":[false,false,false]},"best_score":44.45453057588904}`
+
+// TestCheckpointRestoreRejectsBadShape: a checkpoint whose summary decodes
+// but names a configuration outside the sweep, or whose slices do not fit
+// its dimensions, is a miss; an earlier release's well-formed checkpoint
+// still restores.
+func TestCheckpointRestoreRejectsBadShape(t *testing.T) {
+	load := func() *sweepCheckpoint {
+		var ck sweepCheckpoint
+		if err := json.Unmarshal([]byte(parentCheckpoint), &ck); err != nil {
+			t.Fatal(err)
+		}
+		return &ck
+	}
+	if load().restore(2, 3) == nil {
+		t.Fatal("an earlier release's checkpoint no longer restores")
+	}
+	for name, damage := range badShapes {
+		ck := load()
+		damage(ck.Sum)
+		if ck.restore(2, 3) != nil {
+			t.Errorf("%s: damaged checkpoint restored", name)
+		}
+	}
+}
+
+// FuzzSweepCheckpoint feeds arbitrary bytes through the decode and restore
+// path a resuming MeasureSummary takes, for a request of nspecs benchmarks
+// by ncfgs configurations. Restore must never panic, and a checkpoint it
+// accepts must fold the cells it leaves open into a summary that passes
+// the shape check a loaded summary must pass. Seeds, real checkpoints
+// among them, are in testdata/fuzz/FuzzSweepCheckpoint.
+func FuzzSweepCheckpoint(f *testing.F) {
+	f.Fuzz(func(t *testing.T, blob []byte, nspecs, ncfgs uint8) {
+		var ck sweepCheckpoint
+		if json.Unmarshal(blob, &ck) != nil {
+			return
+		}
+		ns, nc := int(nspecs), int(ncfgs)
+		acc := ck.restore(ns, nc)
+		if acc == nil {
+			return
+		}
+		for ci := 0; ci < nc; ci++ {
+			for si := 0; si < ns; si++ {
+				if !bitSet(acc.done, ci*ns+si) {
+					// Zeros among the times exercise disqualification.
+					acc.add(ci, si, timing.FS((ci*31+si*17)%5))
+				}
+			}
+		}
+		if !summaryShapeOK(acc.sum, ns, nc, nc > 0) {
+			t.Fatalf("accepted checkpoint sealed to a malformed summary: %+v", acc.sum)
+		}
+	})
 }

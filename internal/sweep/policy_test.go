@@ -2,11 +2,9 @@ package sweep
 
 import (
 	"reflect"
-	"sort"
 	"testing"
 
 	"gals/internal/core"
-	"gals/internal/resultcache"
 	"gals/internal/timing"
 	"gals/internal/workload"
 )
@@ -92,119 +90,6 @@ func TestOptionsPolicyReachesPhaseStage(t *testing.T) {
 		core.DefaultAdaptive(core.PhaseAdaptive).WithPolicy("paper", ""))
 	if cfg.Policy != "paper" {
 		t.Errorf("apply clobbered the config's own policy with %q", cfg.Policy)
-	}
-}
-
-func TestTopKSummaryMatchesFullRanking(t *testing.T) {
-	specs := workload.Suite()[:3]
-	cfgs := AdaptiveSpace()[:12]
-	o := Options{Window: 1500}
-	full, err := MeasureSummary(specs, cfgs, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ok := o
-	ok.TopK = 5
-	top, err := MeasureSummary(specs, cfgs, ok)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if top.Scores != nil || top.Invalid != nil {
-		t.Error("top-K summary retained the full scores slice")
-	}
-	if len(top.Top) != 5 {
-		t.Fatalf("Top has %d entries, want 5", len(top.Top))
-	}
-	// The reference ranking: sort the full scores ascending, ties by index.
-	type rc struct {
-		ci    int
-		score float64
-	}
-	var ref []rc
-	for ci, s := range full.Scores {
-		if full.Invalid[ci] {
-			continue
-		}
-		ref = append(ref, rc{ci, s})
-	}
-	sort.Slice(ref, func(i, j int) bool {
-		if ref[i].score != ref[j].score {
-			return ref[i].score < ref[j].score
-		}
-		return ref[i].ci < ref[j].ci
-	})
-	for i, r := range top.Top {
-		if r.Config != ref[i].ci || r.Score != ref[i].score {
-			t.Fatalf("Top[%d] = %+v, want (%d, %v)", i, r, ref[i].ci, ref[i].score)
-		}
-	}
-	if top.Best != full.Best || !reflect.DeepEqual(top.BestTimes, full.BestTimes) ||
-		!reflect.DeepEqual(top.PerApp, full.PerApp) {
-		t.Error("top-K aggregation changed the winners")
-	}
-	if top.Top[0].Config != full.Best {
-		t.Error("Top[0] is not the best-overall configuration")
-	}
-	if got := full.TopOf(5); !reflect.DeepEqual(got, top.Top) {
-		t.Errorf("TopOf(5) = %v, want %v", got, top.Top)
-	}
-}
-
-func TestTopKServedFromPersistedFullSummary(t *testing.T) {
-	specs := workload.Suite()[:2]
-	cfgs := AdaptiveSpace()[:8]
-	c, err := resultcache.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := Options{Window: 1500, Env: Env{Cache: c}}
-
-	full, err := MeasureSummary(specs, cfgs, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := MeasureComputations()
-	ok := o
-	ok.TopK = 3
-	top, err := MeasureSummary(specs, cfgs, ok)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if MeasureComputations() != before {
-		t.Fatal("top-K request re-simulated despite a persisted full summary")
-	}
-	if !reflect.DeepEqual(top.Top, full.TopOf(3)) {
-		t.Error("derived top-K differs from the full summary's ranking")
-	}
-	// And the derived summary was persisted under its own key: a second
-	// request loads it directly even shape-checked.
-	again, err := MeasureSummary(specs, cfgs, ok)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if MeasureComputations() != before {
-		t.Fatal("second top-K request re-simulated")
-	}
-	if !reflect.DeepEqual(again.Top, top.Top) {
-		t.Error("persisted top-K summary differs")
-	}
-}
-
-func TestTopOfExcludesInvalidConfigs(t *testing.T) {
-	times := [][]timing.FS{
-		{100, 200},
-		{0, 300}, // disqualified: a non-positive run time
-		{50, 400},
-	}
-	s := Summarize(times)
-	top := s.TopOf(3)
-	if len(top) != 2 {
-		t.Fatalf("TopOf kept %d configs, want 2 (one invalid)", len(top))
-	}
-	for _, r := range top {
-		if r.Config == 1 {
-			t.Error("disqualified configuration ranked")
-		}
 	}
 }
 

@@ -12,15 +12,16 @@
 // few CPU-minutes at scaled-down windows. At paper-scale windows, use
 // MeasureSummary (streaming aggregation, O(configs + benchmarks) memory)
 // with a recording store in Options.Env, so the traces are mmap'd files
-// rather than heap.
+// rather than heap. The Phase-Adaptive stage (MeasurePhase) runs through
+// the same cell path over the one base Phase-Adaptive configuration.
 package sweep
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -78,12 +79,6 @@ type Options struct {
 	// policy's trained weights). Result-relevant: its canonical digest
 	// (control.BlobDigest) is part of every persist key.
 	PolicyBlob string
-	// TopK, when > 0, makes MeasureSummary retain only the K best-scoring
-	// configurations (Summary.Top) instead of the full per-config Scores
-	// slice, so ranking memory stops scaling with generated design-space
-	// size. 0 keeps full scores. Result-relevant for the summary shape,
-	// neutral for Best/PerApp.
-	TopK int
 	// Ctx bounds the sweep: on cancellation queued cells are purged from
 	// the executor, running cells stop at their next accounting-interval
 	// boundary, and MeasureSummary/MeasurePhase return ctx's error without
@@ -161,9 +156,7 @@ func MeasureComputations() int64 { return measureComputes.Load() }
 // everything that can change the returned object, nothing that can't.
 // Policy/PolicyParams/PolicyBlob change Phase-Adaptive results (the blob
 // enters as its canonical digest, so keys stay small and two requests share
-// an entry only when they agree on the exact artifact bytes); TopK changes
-// the shape of a persisted summary (which configurations' scores are
-// retained), so summaries aggregated differently never alias. Config-level
+// an entry only when they agree on the exact artifact bytes). Config-level
 // blobs (PhaseSpace entries) are digested the same way via keyConfigs.
 type measureRequest struct {
 	Specs            []workload.Spec
@@ -175,24 +168,16 @@ type measureRequest struct {
 	Policy           string `json:",omitempty"`
 	PolicyParams     string `json:",omitempty"`
 	PolicyBlobDigest string `json:",omitempty"`
-	TopK             int    `json:",omitempty"`
 }
 
 func (o Options) measureKey(kind string, specs []workload.Spec, cfgs []core.Config) string {
-	req := measureRequest{
+	return resultcache.Key(kind, measureRequest{
 		Specs: specs, Cfgs: keyConfigs(cfgs),
 		Window: o.Window, Seed: o.Seed,
 		JitterFrac: o.JitterFrac, PLLScale: o.PLLScale,
 		Policy: o.Policy, PolicyParams: o.PolicyParams,
 		PolicyBlobDigest: control.BlobDigest(o.PolicyBlob),
-	}
-	// A checkpoint's accumulator shape depends on the aggregation mode the
-	// same way the summary's does, so "sweepckpt" keys carry TopK too — a
-	// top-K sweep never resumes from a full-scores checkpoint or vice versa.
-	if kind == "sweepsum" || kind == "sweepckpt" {
-		req.TopK = o.TopK
-	}
-	return resultcache.Key(kind, req)
+	})
 }
 
 // keyConfigs canonicalizes a configuration list for key payloads: a config
@@ -217,34 +202,6 @@ func keyConfigs(cfgs []core.Config) []core.Config {
 		}
 	}
 	return out
-}
-
-// pool returns the recorded-trace pool to run from: the caller-provided one
-// when it covers the window, otherwise a private pool sized to the window
-// (backed by Env.Recordings, if any). owned reports that the
-// pool belongs to this call — the caller retires it once its cells finish,
-// returning any store-backed slab references instead of accumulating
-// mappings across windows.
-func (o Options) pool() (p *workload.Pool, owned bool) {
-	if o.Traces.Window() >= o.Window {
-		return o.Traces, false
-	}
-	return o.Env.Pool(o.Window), true
-}
-
-// executor resolves the pool cells run on. The second return is non-nil
-// when the caller owns a transient pool and must Close it: Workers is a
-// per-call parallelism contract, so a non-default value gets a private
-// pool of exactly that size instead of the shared one.
-func (o Options) executor() (exec, owned *Pool) {
-	if o.Exec != nil {
-		return o.Exec, nil
-	}
-	if o.Workers == runtime.GOMAXPROCS(0) {
-		return SharedPool(), nil
-	}
-	p := NewPool(o.Workers, 0)
-	return p, p
 }
 
 func (o Options) apply(cfg core.Config) core.Config {
@@ -375,15 +332,27 @@ const cellChunk = 64
 // (in order), so concurrent cold-start recording still spreads across
 // workers.
 func runCells(specs []workload.Spec, cfgs []core.Config, o Options, skip func(ci, si int) bool, sink func(ci, si int, res *core.Result)) error {
-	pool, ownedTraces := o.pool()
-	if ownedTraces {
-		// Execute returns only after every cell finished, so no replay is
-		// live when the private pool retires its slab references.
+	// Replay the caller's trace pool when it covers the window, otherwise a
+	// private one (backed by Env.Recordings, if any). The private pool is
+	// retired once the cells finish, returning any store-backed slab
+	// references instead of accumulating mappings across windows; Execute
+	// returns only after every cell finished, so no replay is live then.
+	pool := o.Traces
+	if pool.Window() < o.Window {
+		pool = o.Env.Pool(o.Window)
 		defer pool.Retire()
 	}
-	exec, owned := o.executor()
-	if owned != nil {
-		defer owned.Close()
+	// Cells run on o.Exec, else on the shared pool. Workers is a per-call
+	// parallelism contract, so a non-default value gets a transient pool
+	// of exactly that size.
+	exec := o.Exec
+	if exec == nil {
+		if o.Workers == runtime.GOMAXPROCS(0) {
+			exec = SharedPool()
+		} else {
+			exec = NewPool(o.Workers, 0)
+			defer exec.Close()
+		}
 	}
 	ctx := o.Ctx
 	if ctx == nil {
@@ -471,80 +440,9 @@ type Summary struct {
 	PerAppTimes []timing.FS
 	// Scores[ci] is configuration ci's sum of log run times (the geomean
 	// ranking metric); Invalid[ci] marks configurations disqualified by a
-	// non-positive run time, whose Scores entry is meaningless. Both are
-	// nil when the sweep ran with Options.TopK > 0.
+	// non-positive run time, whose Scores entry is meaningless.
 	Scores  []float64
 	Invalid []bool
-	// Top holds, when Options.TopK > 0, the K best-scoring valid
-	// configurations in ascending score order (ties to the lower index) —
-	// the ranking report in O(K) memory instead of O(configs).
-	Top []RankedConfig `json:",omitempty"`
-}
-
-// RankedConfig is one entry of a top-K ranking: a configuration index and
-// its sum-of-log-run-times score.
-type RankedConfig struct {
-	Config int
-	Score  float64
-}
-
-// rankHeap is a max-heap by (score, config index): the root is the worst
-// retained entry, evicted when a better configuration arrives.
-type rankHeap []RankedConfig
-
-func (h rankHeap) Len() int { return len(h) }
-func (h rankHeap) Less(i, j int) bool {
-	if h[i].Score != h[j].Score {
-		return h[i].Score > h[j].Score
-	}
-	return h[i].Config > h[j].Config
-}
-func (h rankHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *rankHeap) Push(x any)   { *h = append(*h, x.(RankedConfig)) }
-func (h *rankHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
-// rankOf folds one valid (config, score) pair into a K-bounded heap.
-func rankOf(h *rankHeap, k int, r RankedConfig) {
-	if h.Len() < k {
-		heap.Push(h, r)
-		return
-	}
-	// Replace the worst retained entry when r outranks it (lower score
-	// wins; ties to the lower index, matching the full-scores sort).
-	w := (*h)[0]
-	if r.Score < w.Score || (r.Score == w.Score && r.Config < w.Config) {
-		(*h)[0] = r
-		heap.Fix(h, 0)
-	}
-}
-
-// sortedRanking drains a rank heap into ascending (score, index) order.
-func sortedRanking(h rankHeap) []RankedConfig {
-	out := make([]RankedConfig, h.Len())
-	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(&h).(RankedConfig)
-	}
-	return out
-}
-
-// TopOf computes the K best-scoring valid configurations from a
-// full-scores summary — the bridge that lets a cached full summary answer a
-// top-K request without re-simulating.
-func (s *Summary) TopOf(k int) []RankedConfig {
-	var h rankHeap
-	for ci, score := range s.Scores {
-		if s.Invalid[ci] {
-			continue
-		}
-		rankOf(&h, k, RankedConfig{Config: ci, Score: score})
-	}
-	return sortedRanking(h)
 }
 
 // summaryAcc folds completed cells into a Summary. A config's row buffer
@@ -559,33 +457,22 @@ type summaryAcc struct {
 	// done marks delivered cells (bit ci*specs+si) — the completed-cell
 	// bitmap a checkpoint persists so a resumed sweep skips them.
 	done []uint64
-
-	// bestScore mirrors Scores[sum.Best] so the winner comparison works
-	// when per-config scores are not retained.
-	bestScore float64
-	// topk > 0 folds scores into the K-bounded rank heap instead of the
-	// full Scores/Invalid slices.
-	topk int
-	rank rankHeap
 }
 
-func newSummaryAcc(nspecs, ncfgs, topk int) *summaryAcc {
+func newSummaryAcc(nspecs, ncfgs int) *summaryAcc {
 	a := &summaryAcc{
 		specs: nspecs,
 		rows:  make(map[int][]timing.FS),
 		left:  make([]int, ncfgs),
 		done:  make([]uint64, bitWords(nspecs*ncfgs)),
-		topk:  topk,
 		sum: &Summary{
 			NumSpecs: nspecs, NumCfgs: ncfgs,
 			Best:        -1,
 			PerApp:      make([]int, nspecs),
 			PerAppTimes: make([]timing.FS, nspecs),
+			Scores:      make([]float64, ncfgs),
+			Invalid:     make([]bool, ncfgs),
 		},
-	}
-	if topk <= 0 {
-		a.sum.Scores = make([]float64, ncfgs)
-		a.sum.Invalid = make([]bool, ncfgs)
 	}
 	for i := range a.left {
 		a.left[i] = nspecs
@@ -594,14 +481,6 @@ func newSummaryAcc(nspecs, ncfgs, topk int) *summaryAcc {
 		a.sum.PerApp[i] = -1
 	}
 	return a
-}
-
-// finish seals the accumulator: the rank heap drains into Summary.Top.
-func (a *summaryAcc) finish() *Summary {
-	if a.topk > 0 {
-		a.sum.Top = sortedRanking(a.rank)
-	}
-	return a.sum
 }
 
 func (a *summaryAcc) add(ci, si int, t timing.FS) {
@@ -641,21 +520,13 @@ func (a *summaryAcc) fold(ci int, row []timing.FS) {
 		// persistence) and let Invalid carry the disqualification.
 		score = 0
 	}
-	if a.topk > 0 {
-		if !invalid {
-			rankOf(&a.rank, a.topk, RankedConfig{Config: ci, Score: score})
-		}
-	} else {
-		s.Scores[ci] = score
-		s.Invalid[ci] = invalid
-	}
+	s.Scores[ci], s.Invalid[ci] = score, invalid
 	if invalid {
 		return
 	}
-	if s.Best == -1 || score < a.bestScore ||
-		(score == a.bestScore && ci < s.Best) {
+	if s.Best == -1 || score < s.Scores[s.Best] ||
+		(score == s.Scores[s.Best] && ci < s.Best) {
 		s.Best = ci
-		a.bestScore = score
 		s.BestTimes = append(s.BestTimes[:0], row...)
 	}
 }
@@ -667,11 +538,11 @@ func Summarize(times [][]timing.FS) *Summary {
 	if len(times) > 0 {
 		nspecs = len(times[0])
 	}
-	a := newSummaryAcc(nspecs, len(times), 0)
+	a := newSummaryAcc(nspecs, len(times))
 	for ci, row := range times {
 		a.fold(ci, row)
 	}
-	return a.finish()
+	return a.sum
 }
 
 // MeasureSummary runs every configuration on every benchmark and folds each
@@ -684,87 +555,60 @@ func Summarize(times [][]timing.FS) *Summary {
 func MeasureSummary(specs []workload.Spec, cfgs []core.Config, o Options) (*Summary, error) {
 	o = o.WithDefaults()
 	store := o.Env.Cache
-	var key string
+	acc := newSummaryAcc(len(specs), len(cfgs))
+	var key, ckKey string
+	var done []uint64
 	if store != nil {
 		lookup := o.Tracer.Start("cache-lookup", "sweepsum")
 		key = o.measureKey("sweepsum", specs, cfgs)
 		var cached Summary
-		if store.Load(key, &cached) && summaryShapeOK(&cached, len(specs), len(cfgs), o.TopK) {
+		if store.Load(key, &cached) && summaryShapeOK(&cached, len(specs), len(cfgs), len(cfgs) > 0) {
 			lookup.Annotate("sweepsum: hit")
 			lookup.End()
 			return &cached, nil
 		}
 		lookup.End()
-		if o.TopK > 0 {
-			// A persisted full-scores summary strictly subsumes a top-K one.
-			full := o
-			full.TopK = 0
-			var fs Summary
-			if store.Load(full.measureKey("sweepsum", specs, cfgs), &fs) &&
-				summaryShapeOK(&fs, len(specs), len(cfgs), 0) {
-				fs.Top = fs.TopOf(o.TopK)
-				fs.Scores, fs.Invalid = nil, nil
-				store.Store(key, &fs)
-				return &fs, nil
+		// Resume: a valid checkpoint replaces the cold accumulator.
+		ckKey = o.measureKey("sweepckpt", specs, cfgs)
+		var ck sweepCheckpoint
+		if store.Load(ckKey, &ck) {
+			if restored := ck.restore(len(specs), len(cfgs)); restored != nil {
+				acc, done = restored, ck.Done
 			}
 		}
 	}
 	measureComputes.Add(1)
-	acc := newSummaryAcc(len(specs), len(cfgs), o.TopK)
-	var skip func(ci, si int) bool
-	var ckKey string
-	if store != nil {
-		// Resume: a valid checkpoint replaces the cold accumulator, and its
-		// (immutable) done bitmap elides the cells a previous run completed.
-		ckKey = o.measureKey("sweepckpt", specs, cfgs)
-		var ck sweepCheckpoint
-		if store.Load(ckKey, &ck) {
-			if restored := ck.restore(len(specs), len(cfgs), o.TopK); restored != nil {
-				acc = restored
-				done := ck.Done
-				nspecs := len(specs)
-				skip = func(ci, si int) bool { return bitSet(done, ci*nspecs+si) }
-				ckptResumes.Add(1)
-				resumedCells.Add(int64(popcount(done)))
-			}
-		}
-	}
-	w := newCkptWriter(store, ckKey, o.CheckpointEvery, func() any { return acc.checkpoint(key) })
-	var progressed atomic.Bool
-	err := runCells(specs, cfgs, o, skip, func(ci, si int, res *core.Result) {
-		acc.add(ci, si, res.TimeFS)
-		progressed.Store(true)
-		w.maybe()
-	})
+	err := runResumable(specs, cfgs, o, ckKey, done, func() any { return acc.checkpoint(key) },
+		func(ci, si int, res *core.Result) { acc.add(ci, si, res.TimeFS) })
 	if err != nil {
-		// Cancelled (or the executor shed the sweep mid-flight): persist the
-		// progress this run made so a rerun resumes warm instead of cold. A
-		// run that delivered nothing new leaves any prior checkpoint as-is.
-		if progressed.Load() {
-			flushCheckpoint(store, ckKey, func() any { return acc.checkpoint(key) })
-		}
 		return nil, err
 	}
-	sum := acc.finish()
-	if store != nil {
-		persist := o.Tracer.Start("persist", "sweepsum")
-		store.Store(key, sum)
-		persist.End()
-		removeCheckpoint(store, ckKey)
-	}
-	return sum, nil
+	o.persist("sweepsum", key, ckKey, acc.sum)
+	return acc.sum, nil
 }
 
-// summaryShapeOK validates a summary loaded from the persistent store
-// against the request's dimensions and aggregation mode.
-func summaryShapeOK(s *Summary, nspecs, ncfgs, topk int) bool {
-	if s.NumSpecs != nspecs || s.NumCfgs != ncfgs || len(s.PerApp) != nspecs {
+// summaryShapeOK validates a summary loaded from the persistent store (or
+// restored from a checkpoint) against the request's dimensions: every
+// slice has its dimension's length and every configuration index is in
+// [-1, ncfgs), so callers can index the configuration list with it.
+// folded says whether any configuration has been folded in, as in every
+// finished sweep over a non-empty space: PerApp then names a configuration
+// for every benchmark, and otherwise none.
+func summaryShapeOK(s *Summary, nspecs, ncfgs int, folded bool) bool {
+	if s.NumSpecs != nspecs || s.NumCfgs != ncfgs ||
+		len(s.PerApp) != nspecs || len(s.PerAppTimes) != nspecs ||
+		len(s.Scores) != ncfgs || len(s.Invalid) != ncfgs {
 		return false
 	}
-	if topk > 0 {
-		return len(s.Scores) == 0
+	if s.Best < -1 || s.Best >= ncfgs || (s.Best >= 0 && len(s.BestTimes) != nspecs) {
+		return false
 	}
-	return len(s.Scores) == ncfgs
+	for _, ci := range s.PerApp {
+		if ci < -1 || ci >= ncfgs || (ci == -1) == folded {
+			return false
+		}
+	}
+	return true
 }
 
 // BestOverall picks the configuration with the best (lowest) geometric-mean
@@ -815,86 +659,46 @@ func logFS(t timing.FS) float64 {
 }
 
 // MeasurePhase runs the Phase-Adaptive machine (base configuration,
-// controllers on) on every benchmark, replaying shared recorded traces.
-// Reconfiguration events are always recorded so downstream consumers
-// (Figure 7 traces) can reuse these results instead of re-running. It
-// returns an error when the executor rejects the batch (queue full /
-// closed pool).
+// controllers on) on every benchmark: one runCells sweep over that single
+// configuration, replaying shared recorded traces. Reconfiguration events
+// are always recorded so downstream consumers (Figure 7 traces) can reuse
+// these results instead of re-running. It returns an error when the
+// executor rejects the batch (queue full / closed pool) or ctx ends it.
 func MeasurePhase(specs []workload.Spec, o Options) ([]*core.Result, error) {
 	o = o.WithDefaults()
 	store := o.Env.Cache
-	var key string
+	acc := newPhaseAcc(len(specs))
+	var key, ckKey string
+	var done []uint64
 	if store != nil {
 		lookup := o.Tracer.Start("cache-lookup", "phase")
 		key = o.measureKey("phase", specs, nil)
 		var cached []*core.Result
-		if store.Load(key, &cached) && len(cached) == len(specs) {
+		// A stored list of nulls decodes cleanly; it is a miss, not an answer.
+		if store.Load(key, &cached) && len(cached) == len(specs) && !slices.Contains(cached, nil) {
 			lookup.Annotate("phase: hit")
 			lookup.End()
 			return cached, nil
 		}
 		lookup.End()
-	}
-	measureComputes.Add(1)
-	pool, ownedTraces := o.pool()
-	if ownedTraces {
-		defer pool.Retire()
-	}
-	exec, owned := o.executor()
-	if owned != nil {
-		defer owned.Close()
-	}
-	ctx := o.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	acc := newPhaseAcc(len(specs))
-	var skip []uint64
-	var ckKey string
-	if store != nil {
 		ckKey = o.measureKey("phaseckpt", specs, nil)
 		var ck phaseCheckpoint
 		if store.Load(ckKey, &ck) && ck.valid(len(specs)) {
-			acc.restore(&ck)
-			skip = ck.Done
-			ckptResumes.Add(1)
-			resumedCells.Add(int64(popcount(skip)))
+			// The accumulator marks its own copy of the bitmap, which the
+			// skip filter reads concurrently.
+			acc = &phaseAcc{out: ck.Out, done: append([]uint64(nil), ck.Done...)}
+			done = ck.Done
 		}
 	}
-	w := newCkptWriter(store, ckKey, o.CheckpointEvery, func() any { return acc.checkpoint(key) })
-	var progressed atomic.Bool
-	groups := make([][]func(), 0, len(specs))
-	for i := range specs {
-		i := i
-		if bitSet(skip, i) {
-			continue
-		}
-		groups = append(groups, []func(){func() {
-			cfg := o.apply(core.DefaultAdaptive(core.PhaseAdaptive))
-			cfg.RecordTrace = true
-			rec, err := pool.GetContext(ctx, specs[i])
-			if err != nil {
-				return // cancelled mid-recording: deliver nothing
-			}
-			res, err := core.NewMachineSource(rec.Replay(), cfg).RunWith(ctx, o.Window, core.RunOptions{})
-			if err != nil {
-				return
-			}
-			acc.add(i, res)
-			progressed.Store(true)
-			w.maybe()
-		}})
-	}
-	if err := exec.ExecuteContext(ctx, o.Priority, groups); err != nil {
-		if progressed.Load() {
-			flushCheckpoint(store, ckKey, func() any { return acc.checkpoint(key) })
-		}
+	measureComputes.Add(1)
+	base := core.DefaultAdaptive(core.PhaseAdaptive)
+	base.RecordTrace = true
+	err := runResumable(specs, []core.Config{base}, o, ckKey, done, func() any { return acc.checkpoint(key) },
+		func(_, si int, res *core.Result) { acc.add(si, res) })
+	if err != nil {
 		return nil, err
 	}
-	if store != nil {
-		store.Store(key, acc.out)
-		removeCheckpoint(store, ckKey)
-	}
+	o.persist("phase", key, ckKey, acc.out)
 	return acc.out, nil
 }
 

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -320,9 +321,80 @@ func TestMeasureSummaryPersistIgnoresLegacyMatrix(t *testing.T) {
 	}
 }
 
+// badShapes damage a 2-benchmark, 3-configuration summary whose Best is
+// set, in ways that still decode: each names a configuration outside the
+// sweep or leaves a slice that does not fit the dimensions, so a caller
+// indexing with it would panic or misread. Each must be a miss.
+var badShapes = map[string]func(s *Summary){
+	"best past the configs":    func(s *Summary) { s.Best = 99 },
+	"best below -1":            func(s *Summary) { s.Best = -2 },
+	"per-app past the configs": func(s *Summary) { s.PerApp[0] = 7 },
+	"per-app below -1":         func(s *Summary) { s.PerApp[1] = -5 },
+	"per-app unset":            func(s *Summary) { s.PerApp[0] = -1 },
+	"per-app times length":     func(s *Summary) { s.PerAppTimes = s.PerAppTimes[:1] },
+	"invalid length":           func(s *Summary) { s.Invalid = s.Invalid[:2] },
+	"scores length":            func(s *Summary) { s.Scores = append(s.Scores, 0) },
+	"best times length":        func(s *Summary) { s.BestTimes = s.BestTimes[:1] },
+}
+
+// TestMeasureSummaryRejectsBadLoadedShape: a persisted summary that
+// decodes but fails the shape check is recomputed, not served.
+func TestMeasureSummaryRejectsBadLoadedShape(t *testing.T) {
+	specs := workload.Suite()[:2]
+	cfgs := AdaptiveSpace()[:3]
+	want := mustSummary(t, specs, cfgs, Options{Window: 1500})
+	if want.Best < 0 {
+		t.Fatal("reference sweep has no best configuration")
+	}
+	wantJSON, _ := json.Marshal(want)
+	for name, damage := range badShapes {
+		t.Run(name, func(t *testing.T) {
+			c, err := resultcache.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			o := withCache(Options{Window: 1500}, c)
+			var bad Summary
+			json.Unmarshal(wantJSON, &bad)
+			damage(&bad)
+			c.Store(o.WithDefaults().measureKey("sweepsum", specs, cfgs), &bad)
+			before := MeasureComputations()
+			got := mustSummary(t, specs, cfgs, o)
+			if MeasureComputations() != before+1 {
+				t.Fatal("a damaged summary was served from the store")
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatal("recomputed summary differs from the reference")
+			}
+		})
+	}
+}
+
+// TestMeasurePhaseRejectsNilLoadedResults: a persisted "phase" blob of
+// nulls decodes to nil results; it is a miss, not an answer.
+func TestMeasurePhaseRejectsNilLoadedResults(t *testing.T) {
+	specs := workload.Suite()[:2]
+	c, err := resultcache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := withCache(Options{Window: 1500}, c)
+	c.Store(o.WithDefaults().measureKey("phase", specs, nil), []*core.Result{nil, nil})
+	before := MeasureComputations()
+	got := mustPhase(t, specs, o)
+	if MeasureComputations() != before+1 {
+		t.Fatal("a phase blob of nulls was served from the store")
+	}
+	for i, r := range got {
+		if r == nil {
+			t.Fatalf("result %d is nil", i)
+		}
+	}
+}
+
 // TestMeasureKeyEnvNeutral: Env never reaches a persist key, and the keys
-// are byte-equal to the ones earlier releases wrote, so existing caches
-// keep hitting.
+// of every kind are byte-equal to the ones earlier releases wrote, so
+// existing caches (checkpoints included) keep hitting.
 func TestMeasureKeyEnvNeutral(t *testing.T) {
 	gcc, _ := workload.ByName("gcc")
 	specs := []workload.Spec{gcc}
@@ -338,13 +410,37 @@ func TestMeasureKeyEnvNeutral(t *testing.T) {
 	bare := Options{Window: 3_000}.WithDefaults()
 	withEnv := bare
 	withEnv.Env = Env{Cache: c, Recordings: recs}
+	want := map[string]string{
+		"sweepsum":  "sweepsum/6a0480ee1276edd77ffa0bbf04998b012fa9aa4dce8d4dff1ef87f7a90bf8212",
+		"sweepckpt": "sweepckpt/b9e1cdd932b90417dd00d448a18c8fda8f6242bdf58fb09b82d2231a55287ff3",
+		"phase":     "phase/f87ff0596efe5b18aa59fa33101e29c99ffcca2db091dccf1f540509e7d4f991",
+		"phaseckpt": "phaseckpt/28f061b567f451884904cb3cc16d81b3593fe671aff19595ca5fb44bc4330c7b",
+	}
 	for _, o := range []Options{bare, withEnv} {
-		if got, want := o.measureKey("sweepsum", specs, cfgs), "sweepsum/6a0480ee1276edd77ffa0bbf04998b012fa9aa4dce8d4dff1ef87f7a90bf8212"; got != want {
-			t.Errorf("sweepsum key %s, want %s", got, want)
+		for kind, w := range want {
+			kcfgs := cfgs
+			if kind == "phase" || kind == "phaseckpt" {
+				kcfgs = nil
+			}
+			if got := o.measureKey(kind, specs, kcfgs); got != w {
+				t.Errorf("%s key %s, want %s", kind, got, w)
+			}
 		}
-		if got, want := o.measureKey("phase", specs, nil), "phase/f87ff0596efe5b18aa59fa33101e29c99ffcca2db091dccf1f540509e7d4f991"; got != want {
-			t.Errorf("phase key %s, want %s", got, want)
+	}
+
+	// A policy-selecting request fills the key's optional fields.
+	pol := Options{Window: 1500, Policy: "interval", PolicyParams: "interval=7500"}.WithDefaults()
+	specs, cfgs = workload.Suite()[:2], AdaptiveSpace()[:4]
+	for kind, w := range map[string]string{
+		"sweepsum":  "sweepsum/0c546ef38d0fcd15b13cfb3a3e8fea19fd60a93203dbbded81de8d6a8e0d0697",
+		"sweepckpt": "sweepckpt/5151d6f06891cae77aa5cab6f2139931a1c0772a666710d72e60082a6dd969c9",
+	} {
+		if got := pol.measureKey(kind, specs, cfgs); got != w {
+			t.Errorf("policy %s key %s, want %s", kind, got, w)
 		}
+	}
+	if got, w := pol.measureKey("phase", specs, nil), "phase/40aef78b17e2ef33c1a0d2ff5332ef710a0735b3169f7162f8bd220cfea29118"; got != w {
+		t.Errorf("policy phase key %s, want %s", got, w)
 	}
 }
 
