@@ -79,7 +79,10 @@ func main() {
 	}
 
 	// Full 256-point search: the Program-Adaptive selection.
-	best, t := gals.ProgramAdaptiveSearch(spec, gals.SweepOptions{Window: *window})
+	best, t, err := gals.ProgramAdaptiveSearch(spec, gals.SweepOptions{Window: *window})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\nProgram-Adaptive selection (256-point exhaustive search):\n  %s\n", best.Label())
 	fmt.Printf("  time %8.2f us  improvement %+6.1f%% over best synchronous\n",
 		float64(t)/1e9, gals.Improvement(syncRes.TimeFS, t))

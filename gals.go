@@ -15,7 +15,9 @@
 //   - Experiments()/RunExperiment() regenerate every table and figure of
 //     the paper's evaluation.
 //   - BestSynchronous(), ProgramAdaptiveSearch() and EvaluateSuite()
-//     expose the design-space sweeps of Section 4.
+//     expose the design-space sweeps of Section 4. Each returns an error
+//     instead of a result when SweepOptions.Ctx (or ExperimentOptions.Ctx)
+//     ends the sweep.
 //   - Policies() lists the pluggable adaptation policies (the paper's
 //     controllers, a parameterized variant, and a frozen baseline);
 //     Config.WithPolicy selects one, making the control algorithm itself a
@@ -354,15 +356,16 @@ func BestSynchronous(o SweepOptions) (Config, error) {
 
 // ProgramAdaptiveSearch exhaustively evaluates the 256 adaptive MCD
 // configurations on one benchmark and returns the best one with its run
-// time — the paper's Program-Adaptive selection for that application.
-func ProgramAdaptiveSearch(spec WorkloadSpec, o SweepOptions) (Config, timing.FS) {
+// time — the paper's Program-Adaptive selection for that application. It
+// returns the sweep's error when o.Ctx ends it or a bounded o.Exec rejects
+// it.
+func ProgramAdaptiveSearch(spec WorkloadSpec, o SweepOptions) (Config, timing.FS, error) {
 	cfgs := sweep.AdaptiveSpace()
 	sum, err := sweep.MeasureSummary([]workload.Spec{spec}, cfgs, o)
 	if err != nil {
-		// Only a caller-provided bounded Options.Exec can reject the sweep.
-		panic(err)
+		return Config{}, 0, err
 	}
-	return cfgs[sum.PerApp[0]], sum.PerAppTimes[0]
+	return cfgs[sum.PerApp[0]], sum.PerAppTimes[0], nil
 }
 
 // Improvement returns the percent run-time improvement of adapted over

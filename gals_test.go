@@ -2,6 +2,7 @@ package gals
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 )
@@ -103,8 +104,14 @@ func TestRecordedFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, tt := ProgramAdaptiveSearch(spec, SweepOptions{Window: 2000, Traces: pool})
-	cfg2, tt2 := ProgramAdaptiveSearch(spec, SweepOptions{Window: 2000})
+	cfg, tt, err := ProgramAdaptiveSearch(spec, SweepOptions{Window: 2000, Traces: pool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg2, tt2, err := ProgramAdaptiveSearch(spec, SweepOptions{Window: 2000})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if tt != tt2 || cfg != cfg2 {
 		t.Errorf("pooled search (%v, %d) != pool-less search (%v, %d)", cfg, tt, cfg2, tt2)
 	}
@@ -124,7 +131,10 @@ func TestProgramAdaptiveSearchSmoke(t *testing.T) {
 		t.Skip("256-point search in -short mode")
 	}
 	spec, _ := Workload("adpcm encode")
-	cfg, tt := ProgramAdaptiveSearch(spec, SweepOptions{Window: 2000})
+	cfg, tt, err := ProgramAdaptiveSearch(spec, SweepOptions{Window: 2000})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if tt <= 0 {
 		t.Fatal("non-positive best time")
 	}
@@ -138,6 +148,20 @@ func TestProgramAdaptiveSearchSmoke(t *testing.T) {
 	}
 	if tt > base.TimeFS {
 		t.Errorf("exhaustive best (%d) slower than base config (%d)", tt, base.TimeFS)
+	}
+}
+
+// TestProgramAdaptiveSearchCancelled: a cancelled SweepOptions.Ctx ends
+// the search with the context's error instead of a panic.
+func TestProgramAdaptiveSearchCancelled(t *testing.T) {
+	spec, err := Workload("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := ProgramAdaptiveSearch(spec, SweepOptions{Window: 2000, Ctx: ctx}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("search under a cancelled ctx = %v, want context.Canceled", err)
 	}
 }
 

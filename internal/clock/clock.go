@@ -242,7 +242,10 @@ func (c *Clock) edgeTime(e *epoch, n uint64) timing.FS {
 // With jitter disabled (the default) this is division-free integer
 // arithmetic: no hash, no probe loop, and — in the common case of t at or
 // after the last reconfiguration — no epoch scan either. A t already on an
-// edge, as most queries are, costs only the on-grid test.
+// edge costs only the on-grid test. Unlike NextEdge and After, it keeps the
+// off-grid remainder in the same call: in a multiple-clock-domain run most
+// of its queries land between edges, since its callers include every
+// cross-domain Align.
 func (c *Clock) EdgeAtOrAfter(t timing.FS) timing.FS {
 	if t >= c.fastStart {
 		return c.final.edgeAtOrAfter(t)
@@ -284,18 +287,24 @@ func (c *Clock) edgeAtOrAfterSlow(t timing.FS) timing.FS {
 	}
 }
 
-// NextEdge returns the time of the first clock edge strictly after t.
+// NextEdge returns the time of the first clock edge strictly after t. A t
+// on an edge of the final epoch, as most are, costs only the on-grid test;
+// every other t goes to nextEdgeRare.
 func (c *Clock) NextEdge(t timing.FS) timing.FS {
-	if t >= c.fastStart {
-		return c.final.nextEdge(t)
+	if t >= c.fastStart && c.final.onGrid(uint64(t-c.final.start)) {
+		return t + c.final.period
 	}
 	return c.nextEdgeRare(t)
 }
 
-// nextEdgeRare is NextEdge for jittered clocks and historical epochs. Each
+// nextEdgeRare is NextEdge for every t but an edge of the final jitter-free
+// epoch. Off that grid, the next edge is the first at or after t. Each
 // epoch starts on its predecessor's edge grid, so the next edge of the
 // epoch governing t is the clock's next edge even across a boundary.
 func (c *Clock) nextEdgeRare(t timing.FS) timing.FS {
+	if t >= c.fastStart {
+		return c.final.edgeAtOrAfter(t)
+	}
 	if c.jitterFrac != 0 {
 		return c.edgeAtOrAfterSlow(t + 1)
 	}
@@ -308,22 +317,29 @@ func (c *Clock) nextEdgeRare(t timing.FS) timing.FS {
 
 // After returns the time of the edge n cycles after the first edge at or
 // after t. After(t, 0) == EdgeAtOrAfter(t). It is the primary primitive for
-// charging an n-cycle latency that begins at time t. Negative n panics.
+// charging an n-cycle latency that begins at time t. Negative n panics. A
+// start on an edge of the final epoch, as most are, costs only the on-grid
+// test; every other start goes to afterRare.
 func (c *Clock) After(t timing.FS, n int) timing.FS {
-	if t >= c.fastStart && n >= 0 {
-		return c.final.edgeAtOrAfter(t) + timing.FS(n)*c.final.period
+	if n >= 0 && t >= c.fastStart && c.final.onGrid(uint64(t-c.final.start)) {
+		return t + timing.FS(n)*c.final.period
 	}
 	return c.afterRare(t, n)
 }
 
-// afterRare handles negative n (panics), jittered clocks, and jitter-free
-// starts inside historical epochs (between a reconfiguration decision and
-// its PLL lock completion). The latter walk epoch boundaries analytically.
-// Each epoch's start lies on its predecessor's edge grid (SetPeriodAt
-// places it with EdgeAtOrAfter), so an epoch holds the n edges after tt
-// exactly when tt+n*period reaches no further than the next epoch's start,
-// and the cycles spent crossing an epoch are an exact quotient.
+// afterRare is After for every start but an edge of the final jitter-free
+// epoch: one multiply-high remainder off that grid, and otherwise negative
+// n (panics), jittered clocks, and jitter-free starts inside historical
+// epochs (between a reconfiguration decision and its PLL lock completion).
+// The latter walk epoch boundaries analytically. Each epoch's start lies
+// on its predecessor's edge grid (SetPeriodAt places it with
+// EdgeAtOrAfter), so an epoch holds the n edges after tt exactly when
+// tt+n*period reaches no further than the next epoch's start, and the
+// cycles spent crossing an epoch are an exact quotient.
 func (c *Clock) afterRare(t timing.FS, n int) timing.FS {
+	if n >= 0 && t >= c.fastStart {
+		return c.final.edgeAtOrAfter(t) + timing.FS(n)*c.final.period
+	}
 	if n < 0 {
 		panic("clock: negative cycle count")
 	}

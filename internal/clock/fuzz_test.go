@@ -164,8 +164,8 @@ func (in *fuzzBytes) cycles() int {
 // (SetPeriodAt with model, odd, power-of-two and arbitrary periods) and
 // checks EdgeAtOrAfter, NextEdge, After, Sync and SyncPath.Sync against
 // refClock at query times up to 2^60 fs: around every epoch boundary,
-// inside every epoch and at random, both while the epochs are being added
-// and once they are all in place.
+// inside every epoch, on the edges of every epoch's grid and at random,
+// both while the epochs are being added and once they are all in place.
 func FuzzClockEdges(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 4, 3, 0, 8, 1, 1, 12})
@@ -221,6 +221,24 @@ func checkClockEdges(t *testing.T, in *fuzzBytes) {
 		check(s, in.cycles())
 		check(s+1, in.cycles())
 		check(s+timing.FS(in.u64()%uint64(p)), in.cycles())
+		// Edges of the epoch's own grid, where every query answers from
+		// its on-grid test when the epoch is the final one: the first edge
+		// after s and the last one before the next epoch (or a thousand
+		// periods on). Then the last edge of the previous epoch's grid
+		// before s. These probes read no input, so a corpus entry keeps
+		// decoding to the same epochs.
+		check(s+p, 1)
+		last := s + 1000*p
+		if k+1 < len(r.starts) {
+			last = s + (r.starts[k+1]-1-s)/p*p
+		}
+		check(last, 3)
+		if k > 0 {
+			ps, pp := r.starts[k-1], r.periods[k-1]
+			if s > ps {
+				check(ps+(s-1-ps)/pp*pp, 2)
+			}
+		}
 	}
 
 	var at timing.FS

@@ -30,8 +30,8 @@ func phaseCfg() Config {
 }
 
 func TestWindowFloorSemantics(t *testing.T) {
-	w := newWindow(4)
-	if w.floor(4) != 0 {
+	var w window
+	if w.floor(4) != 0 || w.floor(windowSlots) != 0 {
 		t.Error("empty window floor not 0")
 	}
 	for i := 1; i <= 6; i++ {
@@ -44,13 +44,17 @@ func TestWindowFloorSemantics(t *testing.T) {
 	if got := w.floor(2); got != 500 {
 		t.Errorf("floor(2) = %d, want 500", got)
 	}
+	if got := w.floor(7); got != 0 {
+		t.Errorf("floor(7) after 6 pushes = %d, want 0", got)
+	}
 }
 
 func TestWindowFloorProperty(t *testing.T) {
-	// floor(n) equals the value pushed n pushes ago, for any push pattern.
+	// floor(n) equals the value pushed n pushes ago, for any push pattern
+	// and any depth the ring holds.
 	f := func(vals []int16, n uint8) bool {
-		depth := int(n%8) + 1
-		w := newWindow(8)
+		depth := int(n) + 1
+		var w window
 		var history []timing.FS
 		for _, v := range vals {
 			tv := timing.FS(v)
@@ -65,6 +69,22 @@ func TestWindowFloorProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+	// After the ring has wrapped more than twice, every depth reads the
+	// right push, including the full depth, where uint8(n) is 0.
+	rng := rand.New(rand.NewSource(20))
+	for _, pushes := range []int{600, 767, 768, 1000} {
+		var w window
+		history := make([]timing.FS, pushes)
+		for i := range history {
+			history[i] = timing.FS(rng.Int63())
+			w.push(history[i])
+		}
+		for n := 1; n <= windowSlots; n++ {
+			if got, want := w.floor(n), history[pushes-n]; got != want {
+				t.Fatalf("after %d pushes floor(%d) = %d, want %d", pushes, n, got, want)
+			}
+		}
 	}
 }
 
@@ -84,13 +104,14 @@ func TestFUPoolPicksEarliest(t *testing.T) {
 }
 
 // BenchmarkWindow times one push and one floor(n) read in a dependent
-// chain (each push is the read's result plus one) at the ROB shape (256
-// deep, reading the retire width) and the issue-queue shape (64 deep,
-// reading the issue width).
+// chain (each push is the read's result plus one) at the ROB's retire-width
+// read and the issue queues' issue-width read. Every window is the same
+// 256-slot ring, so only the read depth differs; the names keep the
+// structure depths (256 and 64) of earlier measurements.
 func BenchmarkWindow(b *testing.B) {
-	for _, c := range []struct{ depth, read int }{{ROBEntries, RetireWidth}, {iqDepth, IssueWidth}} {
+	for _, c := range []struct{ depth, read int }{{ROBEntries, RetireWidth}, {int(timing.IQ64), IssueWidth}} {
 		b.Run(fmt.Sprintf("depth=%d/read=%d", c.depth, c.read), func(b *testing.B) {
-			w := newWindow(c.depth)
+			var w window
 			var t timing.FS
 			for i := 0; i < b.N; i++ {
 				t = max(t, w.floor(c.read)) + 1

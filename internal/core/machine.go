@@ -17,55 +17,36 @@ import (
 // slot. push records a release time; floor(n) returns the release time of
 // the n-th most recent push (or 0 when fewer than n pushes have happened).
 //
-// The ring position is maintained with a compare-and-wrap instead of a
-// modulo: push/floor run tens of times per simulated instruction and the
-// int64 divisions dominated the simulator's profile. Unpushed slots hold
-// the zero value, which floor naturally reports as "no constraint", so no
-// separate fill counter is needed. floor requires 0 < n <= capacity. A
-// window may carry several limits over the same pushes: floor(n) reads only
-// the n-th most recent push, so a per-cycle bandwidth limit is a shallow
-// read of the deeper structure's window (the depth guards below keep every
-// such read within capacity).
+// Every window is a 256-slot ring held by value in the Machine, indexed by
+// a uint8: the wrap is the index's own overflow and the compiler drops the
+// bounds check, so push and floor, which run tens of times per simulated
+// instruction, are one store or load each. floor(n) reads only the n-th
+// most recent push, so a ring deeper than its structure returns the same
+// values, and a per-cycle bandwidth limit is a shallow read of the deeper
+// structure's window. Unpushed slots hold the zero value, which floor
+// reports as "no constraint". floor requires 0 < n <= windowSlots; n ==
+// windowSlots reads buf[head], the oldest push.
 type window struct {
-	buf  []timing.FS
-	head int // next write position
+	buf  [windowSlots]timing.FS
+	head uint8 // next write position
 }
 
-func newWindow(capacity int) *window {
-	return &window{buf: make([]timing.FS, capacity)}
-}
+const windowSlots = 256
 
 func (w *window) push(t timing.FS) {
-	h := w.head
-	w.buf[h] = t
-	h++
-	if h == len(w.buf) {
-		h = 0
-	}
-	w.head = h
+	w.buf[w.head] = t
+	w.head++
 }
 
 func (w *window) floor(n int) timing.FS {
-	i := w.head - n
-	if i < 0 {
-		i += len(w.buf)
-	}
-	return w.buf[i]
+	return w.buf[w.head-uint8(n)]
 }
 
-// iqDepth is the depth of the issue-queue windows: the largest adaptive
-// issue queue.
-const iqDepth = int(timing.IQ64)
-
-// Each shared window must be at least as deep as every floor read from
-// it; a constant change that breaks one of these fails the build (a
-// negative array length).
-var (
-	_ [FetchQueueEntries - DecodeWidth]struct{} // fetchQ carries the rename width
-	_ [ROBEntries - RetireWidth]struct{}        // rob carries the retire width
-	_ [iqDepth - IssueWidth]struct{}            // intQ/fpQ carry the issue width
-	_ [iqDepth - int(timing.IQ64)]struct{}      // ... and every queue size
-)
+// Every floor read must fit in the ring; a constant change that breaks
+// this fails the build (a negative array length).
+var _ [windowSlots - max(ROBEntries, RetireWidth, FetchQueueEntries, DecodeWidth,
+	int(timing.IQ64), IssueWidth, LSQEntries, PhysIntRegs-isa.NumIntRegs,
+	PhysFPRegs-isa.NumFPRegs, DCachePorts, MSHREntries)]struct{}
 
 // fuPool models a set of identical functional units by the time each unit
 // is next available. take picks a unit; the caller books it by writing
@@ -176,15 +157,15 @@ type Machine struct {
 	l2LatA, l2LatB int
 
 	// Structural windows, each with the limits read from it.
-	rob     *window // commit times: ROBEntries; RetireWidth per cycle
-	fetchQ  *window // rename times: FetchQueueEntries; DecodeWidth per cycle
-	intQ    *window // issue times of int-queue ops: intIQ; IssueWidth per cycle
-	fpQ     *window // issue times of fp-queue ops: fpIQ; IssueWidth per cycle
-	lsq     *window // commit times of memory ops: LSQEntries
-	intRegs *window // commit times of int-dest ops: PhysIntRegs-NumIntRegs
-	fpRegs  *window // commit times of fp-dest ops: PhysFPRegs-NumFPRegs
-	dports  *window // D-cache port grants: DCachePorts per cycle
-	mshr    *window // outstanding-miss completion times: MSHREntries
+	rob     window // commit times: ROBEntries; RetireWidth per cycle
+	fetchQ  window // rename times: FetchQueueEntries; DecodeWidth per cycle
+	intQ    window // issue times of int-queue ops: intIQ; IssueWidth per cycle
+	fpQ     window // issue times of fp-queue ops: fpIQ; IssueWidth per cycle
+	lsq     window // commit times of memory ops: LSQEntries
+	intRegs window // commit times of int-dest ops: PhysIntRegs-NumIntRegs
+	fpRegs  window // commit times of fp-dest ops: PhysFPRegs-NumFPRegs
+	dports  window // D-cache port grants: DCachePorts per cycle
+	mshr    window // outstanding-miss completion times: MSHREntries
 
 	intFU  *fuPool // IntALU
 	intMul *fuPool
@@ -444,16 +425,7 @@ func newMachine(src InstSource, cfg Config) *Machine {
 		m.bank = bpred.NewBank(cfg.ICache)
 	}
 
-	// Windows and pools.
-	m.rob = newWindow(ROBEntries)
-	m.fetchQ = newWindow(FetchQueueEntries)
-	m.intQ = newWindow(iqDepth)
-	m.fpQ = newWindow(iqDepth)
-	m.lsq = newWindow(LSQEntries)
-	m.intRegs = newWindow(PhysIntRegs - isa.NumIntRegs)
-	m.fpRegs = newWindow(PhysFPRegs - isa.NumFPRegs)
-	m.dports = newWindow(DCachePorts)
-	m.mshr = newWindow(MSHREntries)
+	// Pools (the windows are zero-valued fields).
 	m.intFU = newFUPool(IntALUs)
 	m.intMul = newFUPool(IntMulDivs)
 	m.fpFU = newFUPool(FPALUs)

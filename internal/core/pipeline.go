@@ -312,9 +312,9 @@ func (m *Machine) execCompute(in *isa.Inst, dom clock.Domain) timing.FS {
 	var qWin *window
 	var alu, mul *fuPool
 	if dom == clock.FloatingPoint {
-		qWin, alu, mul = m.fpQ, m.fpFU, m.fpMul
+		qWin, alu, mul = &m.fpQ, m.fpFU, m.fpMul
 	} else {
-		qWin, alu, mul = m.intQ, m.intFU, m.intMul
+		qWin, alu, mul = &m.intQ, m.intFU, m.intMul
 		ready = maxFS(ready, m.minIntIssue)
 	}
 	ready = maxFS(ready, ck.NextEdge(qWin.floor(IssueWidth)))

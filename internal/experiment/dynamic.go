@@ -389,7 +389,7 @@ func PolicyCompare(o Options) (*Table, error) {
 		polName = "paper"
 	}
 	frozenOpts := so
-	frozenOpts.Policy, frozenOpts.PolicyParams = "frozen", ""
+	frozenOpts.Policy, frozenOpts.PolicyParams, frozenOpts.PolicyBlob = "frozen", "", ""
 	frozen, err := sweep.MeasurePhase(specs, frozenOpts)
 	if err != nil {
 		return nil, err

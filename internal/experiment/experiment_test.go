@@ -13,6 +13,7 @@ import (
 	"gals/internal/recstore"
 	"gals/internal/resultcache"
 	"gals/internal/sweep"
+	"gals/internal/workload"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -103,6 +104,24 @@ func TestFigure7LearnedPolicyWithoutSuite(t *testing.T) {
 	}
 	if len(tab.Rows) < 2 {
 		t.Fatalf("Figure 7 has %d rows, want one per sampled benchmark at least", len(tab.Rows))
+	}
+}
+
+// TestPolicyCompareLearnedPolicy: the frozen baseline drops the selected
+// policy's blob along with its name, so a learned policy compares against
+// frozen instead of failing every frozen cell ("policy \"frozen\" takes no
+// blob artifact").
+func TestPolicyCompareLearnedPolicy(t *testing.T) {
+	blob, err := learn.Artifact(sweep.Env{}, learn.TrainOptions{Window: 6_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := PolicyCompare(Options{Window: 1_200, PLLScale: 0.1, Seed: 42, Policy: "learned", PolicyBlob: blob})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tab.Rows) != len(workload.Suite()) {
+		t.Fatalf("policies table has %d rows, want one per benchmark", len(tab.Rows))
 	}
 }
 

@@ -165,17 +165,30 @@ type phaseCheckpoint struct {
 	Out        []*core.Result `json:"out"`
 }
 
-func (ck *phaseCheckpoint) valid(nspecs int) bool {
+// restore rebuilds a phaseAcc from a loaded checkpoint, or returns nil
+// when the blob doesn't match the request, marks a benchmark done without
+// its result (or the reverse) or sets a bit past the last benchmark (the
+// resumed-cell count reads the bitmap): a cold run, never a wrong answer.
+func (ck *phaseCheckpoint) restore(nspecs int) *phaseAcc {
 	if ck.Version != ckptVersion || ck.NumSpecs != nspecs ||
 		len(ck.Done) != bitWords(nspecs) || len(ck.Out) != nspecs {
-		return false
+		return nil
 	}
-	for i := 0; i < nspecs; i++ {
-		if bitSet(ck.Done, i) != (ck.Out[i] != nil) {
-			return false
+	n := 0
+	for i, res := range ck.Out {
+		if bitSet(ck.Done, i) != (res != nil) {
+			return nil
+		}
+		if res != nil {
+			n++
 		}
 	}
-	return true
+	if popcount(ck.Done) != n {
+		return nil
+	}
+	// The accumulator marks its own copy of the bitmap, which the resume
+	// skip filter reads concurrently.
+	return &phaseAcc{out: ck.Out, done: append([]uint64(nil), ck.Done...)}
 }
 
 // phaseAcc collects MeasurePhase's per-benchmark results under a lock (the

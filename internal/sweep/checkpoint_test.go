@@ -8,11 +8,13 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"gals/internal/core"
 	"gals/internal/resultcache"
 	"gals/internal/timing"
 	"gals/internal/workload"
@@ -402,6 +404,34 @@ func FuzzSweepCheckpoint(f *testing.F) {
 		}
 		if !summaryShapeOK(acc.sum, ns, nc, nc > 0) {
 			t.Fatalf("accepted checkpoint sealed to a malformed summary: %+v", acc.sum)
+		}
+	})
+}
+
+// FuzzPhaseCheckpoint feeds arbitrary bytes through the decode and restore
+// path a resuming MeasurePhase takes, for a request of nspecs benchmarks.
+// Restore must never panic, and a checkpoint it accepts must, once its
+// open benchmarks are delivered, hold a result for every benchmark: the
+// list MeasurePhase persists and returns has no nil entry. Seeds, real
+// checkpoints among them, are in testdata/fuzz/FuzzPhaseCheckpoint.
+func FuzzPhaseCheckpoint(f *testing.F) {
+	f.Fuzz(func(t *testing.T, blob []byte, nspecs uint8) {
+		var ck phaseCheckpoint
+		if json.Unmarshal(blob, &ck) != nil {
+			return
+		}
+		ns := int(nspecs)
+		acc := ck.restore(ns)
+		if acc == nil {
+			return
+		}
+		for si := 0; si < ns; si++ {
+			if !bitSet(acc.done, si) {
+				acc.add(si, &core.Result{TimeFS: timing.FS(si + 1)})
+			}
+		}
+		if len(acc.out) != ns || slices.Contains(acc.out, nil) || popcount(acc.done) != ns {
+			t.Fatalf("accepted checkpoint sealed to %d results (%d done), want %d without nil", len(acc.out), popcount(acc.done), ns)
 		}
 	})
 }

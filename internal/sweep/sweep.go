@@ -683,11 +683,10 @@ func MeasurePhase(specs []workload.Spec, o Options) ([]*core.Result, error) {
 		lookup.End()
 		ckKey = o.measureKey("phaseckpt", specs, nil)
 		var ck phaseCheckpoint
-		if store.Load(ckKey, &ck) && ck.valid(len(specs)) {
-			// The accumulator marks its own copy of the bitmap, which the
-			// skip filter reads concurrently.
-			acc = &phaseAcc{out: ck.Out, done: append([]uint64(nil), ck.Done...)}
-			done = ck.Done
+		if store.Load(ckKey, &ck) {
+			if restored := ck.restore(len(specs)); restored != nil {
+				acc, done = restored, ck.Done
+			}
 		}
 	}
 	measureComputes.Add(1)
