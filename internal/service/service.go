@@ -949,6 +949,26 @@ func (r SweepRequest) normalize() (SweepRequest, error) {
 	return r, nil
 }
 
+// cacheKey returns the normalized sweep's request key: result-neutral
+// fields zeroed and policy-axis artifacts replaced by their digests.
+func (r SweepRequest) cacheKey() string {
+	r.Priority = 0
+	r.Workers = 0
+	r.TimeoutMS = 0
+	if len(r.Policies) > 0 {
+		// Key policy-axis artifacts by canonical digest, like every other
+		// blob-carrying key payload.
+		ps := append([]sweep.PolicySetting(nil), r.Policies...)
+		for i := range ps {
+			if ps[i].Blob != "" {
+				ps[i].Blob = "digest:" + control.BlobDigest(ps[i].Blob)
+			}
+		}
+		r.Policies = ps
+	}
+	return resultcache.Key("sweepreq", r)
+}
+
 // AppBest is one benchmark's best configuration in a sweep.
 type AppBest struct {
 	Bench  string `json:"bench"`
@@ -983,22 +1003,7 @@ func (s *Service) Sweep(ctx context.Context, req SweepRequest) (SweepResult, err
 		return SweepResult{}, err
 	}
 	defer cancel()
-	keyReq := n
-	keyReq.Priority = 0
-	keyReq.Workers = 0
-	keyReq.TimeoutMS = 0
-	if len(keyReq.Policies) > 0 {
-		// Key policy-axis artifacts by canonical digest, like every other
-		// blob-carrying key payload.
-		ps := append([]sweep.PolicySetting(nil), keyReq.Policies...)
-		for i := range ps {
-			if ps[i].Blob != "" {
-				ps[i].Blob = "digest:" + control.BlobDigest(ps[i].Blob)
-			}
-		}
-		keyReq.Policies = ps
-	}
-	key := resultcache.Key("sweepreq", keyReq)
+	key := n.cacheKey()
 
 	v, err, shared := s.flight.Do(ctx, key, func() (any, error) {
 		specs := workload.Suite()
@@ -1136,6 +1141,17 @@ func (r SuiteRequest) options() experiment.Options {
 	return o
 }
 
+// cacheKey returns the suite request's key: its pipeline options with
+// Workers zeroed and the policy artifact replaced by its digest.
+func (r SuiteRequest) cacheKey() string {
+	keyReq := r.options()
+	keyReq.Workers = 0
+	if keyReq.PolicyBlob != "" {
+		keyReq.PolicyBlob = "digest:" + control.BlobDigest(keyReq.PolicyBlob)
+	}
+	return resultcache.Key("suitereq", keyReq)
+}
+
 // SuiteBench is one benchmark row of a suite summary.
 type SuiteBench struct {
 	Name       string  `json:"name"`
@@ -1166,12 +1182,7 @@ func (s *Service) Suite(ctx context.Context, req SuiteRequest) (SuiteSummary, er
 	}
 	defer cancel()
 	o := req.options()
-	keyReq := o
-	keyReq.Workers = 0
-	if keyReq.PolicyBlob != "" {
-		keyReq.PolicyBlob = "digest:" + control.BlobDigest(keyReq.PolicyBlob)
-	}
-	key := resultcache.Key("suitereq", keyReq)
+	key := req.cacheKey()
 
 	v, err, shared := s.flight.Do(ctx, key, func() (any, error) {
 		var r *experiment.SuiteResult
