@@ -10,7 +10,7 @@ BENCHOUT  ?= BENCH_latest.txt
 MEMWINDOW ?= 60000
 MEMCACHE  ?= /tmp/gals-bench-mem-cache
 
-.PHONY: all build test test-short race vet allocs parity determinism chaos crash fuzz obs bench bench-json bench-suite bench-mem bench-smoke bench-e2e-smoke ci
+.PHONY: all build test test-short race vet allocs parity determinism chaos crash fuzz obs bench bench-json bench-suite bench-mem bench-smoke bench-e2e-smoke loc ci
 
 all: build
 
@@ -129,5 +129,10 @@ bench-smoke:
 # breaks the benchmark fails here (also a CI job).
 bench-e2e-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# Size of the program: non-test Go lines outside the separate bench/
+# module, the total ROADMAP tracks.
+loc:
+	@git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^bench/' | xargs cat | wc -l
 
 ci: build vet allocs race fuzz bench-smoke bench-e2e-smoke

@@ -63,7 +63,7 @@ func main() {
 		faults    = flag.String("fault-inject", os.Getenv("GALS_FAULTS"), "fault-injection spec, e.g. 'resultcache.read=corrupt:0.5,service.dispatch=error:0.1' (empty disables; see internal/faultinject)")
 		pprofOn   = flag.Bool("pprof", false, "mount net/http/pprof profiling handlers under /debug/pprof/")
 		accessLog = flag.Bool("access-log", false, "write one JSON access-log line per request to stderr")
-		traceDir  = flag.String("trace-dir", "", "dump a span-trace JSON file per run/sweep/suite request into this directory")
+		traceDir  = flag.String("trace-dir", "", "dump a span-trace JSON file per run/sweep/suite/experiment request into this directory")
 		ckptEvery = flag.Duration("checkpoint-interval", 15*time.Second, "persist sweep/suite progress checkpoints this often so a killed server resumes warm (0 disables)")
 		telCap    = flag.Int("telemetry-cap", 0, "per-run telemetry ring capacity for runs requesting \"telemetry\":true — oldest samples/events are dropped beyond it (0 = default 4096)")
 		scrub     = flag.Bool("scrub", true, "run a startup-recovery pass over the cache before serving: reap crashed-writer temp/lock files, quarantine undecodable blobs, drop invalid recording slabs, GC stale checkpoints")

@@ -37,6 +37,11 @@ import (
 // All bodies are JSON. Validation failures return 400, unknown experiment
 // IDs 400, a full cell queue 503, all with {"error": "..."} bodies.
 //
+// The four compute endpoints — run, sweep, suite and experiment — record a
+// span trace when asked: ?trace=1 returns it inline as
+// {"result": ..., "trace": ...}, and Config.TraceDir writes every one to a
+// file.
+//
 // When Config.AuthToken is set, every /v1/* endpoint requires
 // "Authorization: Bearer <token>" and answers 401 otherwise; /healthz stays
 // open so liveness probes need no credentials.
@@ -84,19 +89,10 @@ func (s *Service) Handler() http.Handler {
 		writeJSON(w, http.StatusOK, out)
 	})
 
-	mux.HandleFunc("POST /v1/run", func(w http.ResponseWriter, r *http.Request) {
-		var req RunRequest
-		if !readJSON(w, r, &req) {
-			return
-		}
-		ctx, tr := s.traceCtx(r, "run")
-		res, err := s.Run(ctx, req)
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		writeTraced(w, r, res, s.finishTrace("run", tr))
-	})
+	post(s, mux, "run", s.Run)
+	post(s, mux, "sweep", s.Sweep)
+	post(s, mux, "suite", s.Suite)
+	post(s, mux, "experiment", s.Experiment)
 
 	mux.HandleFunc("GET /v1/telemetry/{digest}", func(w http.ResponseWriter, r *http.Request) {
 		digest := r.PathValue("digest")
@@ -124,34 +120,6 @@ func (s *Service) Handler() http.Handler {
 			return
 		}
 		writeJSON(w, http.StatusOK, map[string]any{"results": s.RunBatch(r.Context(), req.Runs)})
-	})
-
-	mux.HandleFunc("POST /v1/sweep", func(w http.ResponseWriter, r *http.Request) {
-		var req SweepRequest
-		if !readJSON(w, r, &req) {
-			return
-		}
-		ctx, tr := s.traceCtx(r, "sweep")
-		res, err := s.Sweep(ctx, req)
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		writeTraced(w, r, res, s.finishTrace("sweep", tr))
-	})
-
-	mux.HandleFunc("POST /v1/suite", func(w http.ResponseWriter, r *http.Request) {
-		var req SuiteRequest
-		if !readJSON(w, r, &req) {
-			return
-		}
-		ctx, tr := s.traceCtx(r, "suite")
-		res, err := s.Suite(ctx, req)
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		writeTraced(w, r, res, s.finishTrace("suite", tr))
 	})
 
 	mux.HandleFunc("POST /v1/cache/prune", func(w http.ResponseWriter, r *http.Request) {
@@ -185,19 +153,6 @@ func (s *Service) Handler() http.Handler {
 		writeJSON(w, http.StatusOK, st)
 	})
 
-	mux.HandleFunc("POST /v1/experiment", func(w http.ResponseWriter, r *http.Request) {
-		var req ExperimentRequest
-		if !readJSON(w, r, &req) {
-			return
-		}
-		res, err := s.Experiment(r.Context(), req)
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, res)
-	})
-
 	var h http.Handler = mux
 	if s.limiter != nil {
 		h = s.limit(h)
@@ -212,6 +167,25 @@ func (s *Service) Handler() http.Handler {
 	// the inner middleware produced — lands in the latency histograms,
 	// status counters and the access log.
 	return s.observe(h)
+}
+
+// post mounts the compute endpoint POST /v1/<name>: decode the request,
+// attach a tracer when one is asked for, call fn, and write its result or
+// its error (see writeErr).
+func post[Q, R any](s *Service, mux *http.ServeMux, name string, fn func(context.Context, Q) (R, error)) {
+	mux.HandleFunc("POST /v1/"+name, func(w http.ResponseWriter, r *http.Request) {
+		var req Q
+		if !readJSON(w, r, &req) {
+			return
+		}
+		ctx, tr := s.traceCtx(r, name)
+		res, err := fn(ctx, req)
+		if err != nil {
+			writeErr(w, err)
+			return
+		}
+		writeTraced(w, r, res, s.finishTrace(name, tr))
+	})
 }
 
 // traceCtx attaches a fresh span tracer to the request context when the

@@ -95,10 +95,10 @@ type Config struct {
 	// (request ID, method, path, status, bytes, duration). galsd wires
 	// stderr behind -access-log.
 	AccessLog io.Writer
-	// TraceDir, when set, makes every /v1/run, /v1/sweep and /v1/suite
-	// request record a span trace and write it as an indented-JSON file
-	// into this directory (clients can also opt in per request with
-	// ?trace=1, which returns the trace inline instead).
+	// TraceDir, when set, makes every /v1/run, /v1/sweep, /v1/suite and
+	// /v1/experiment request record a span trace and write it as an
+	// indented-JSON file into this directory (clients can also opt in per
+	// request with ?trace=1, which returns the trace inline instead).
 	TraceDir string
 	// TelemetryCap bounds each telemetry-enabled run's sample and event
 	// rings (0 = core.DefaultTelemetryCap). A saturated ring keeps the most
@@ -361,15 +361,25 @@ func contain(fn func() error) (err error) {
 	return fn()
 }
 
-// dispatch gates every compute request: an injected dispatch fault (chaos
-// testing a refusing server — HTTP maps it to a retryable 503) rejects it
-// up front, then the request context is bounded by the server's
-// -request-timeout and the client's timeout_ms, whichever is shorter. The
-// returned cancel must be called (normally deferred) so abandoned work is
-// torn down as soon as the request finishes either way.
-func (s *Service) dispatch(ctx context.Context, timeoutMS int64) (context.Context, context.CancelFunc, error) {
+// serve is the one request path behind Run, Sweep, Suite and Experiment;
+// each endpoint brings only its normalized request's flight key and its
+// compute. In order:
+//   - dispatch: an injected dispatch fault (chaos testing a refusing
+//     server — HTTP maps it to a retryable 503) rejects the request up
+//     front, then its context is bounded by the server's -request-timeout
+//     and timeoutMS, whichever is shorter, and parented on the shutdown
+//     context;
+//   - singleflight: concurrent requests with the same flightKey share one
+//     compute, which runs under the first caller's bounded context;
+//   - contain: a panicking compute becomes an error, so the flight still
+//     completes and its key never wedges;
+//   - dedups: shared reports (and the counter records) a caller that got
+//     its result by joining an in-flight twin. A failed request is never
+//     counted as shared.
+func serve[R any](s *Service, ctx context.Context, timeoutMS int64, flightKey string,
+	compute func(ctx context.Context) (R, error)) (out R, shared bool, err error) {
 	if err := faultinject.Err(faultinject.ServiceDispatch); err != nil {
-		return nil, nil, err
+		return out, false, err
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -380,19 +390,60 @@ func (s *Service) dispatch(ctx context.Context, timeoutMS int64) (context.Contex
 			d = c
 		}
 	}
-	var bounded context.Context
 	var cancel context.CancelFunc
 	if d > 0 {
-		bounded, cancel = context.WithTimeout(ctx, d)
+		ctx, cancel = context.WithTimeout(ctx, d)
 	} else {
-		bounded, cancel = context.WithCancel(ctx)
+		ctx, cancel = context.WithCancel(ctx)
 	}
-	// Parent every request on the shutdown context too: a Shutdown that has
-	// given up draining cancels s.shutCtx, which cancels the request here —
-	// so a long sweep flushes its checkpoint and returns instead of being
-	// abandoned when the pool closes under it.
-	stop := context.AfterFunc(s.shutCtx, cancel)
-	return bounded, func() { stop(); cancel() }, nil
+	defer cancel()
+	// A Shutdown that has given up draining cancels s.shutCtx, which
+	// cancels the request here — so a long sweep flushes its checkpoint and
+	// returns instead of being abandoned when the pool closes under it.
+	defer context.AfterFunc(s.shutCtx, cancel)()
+
+	v, err, shared := s.flight.Do(ctx, flightKey, func() (v any, err error) {
+		err = contain(func() (err error) {
+			v, err = compute(ctx)
+			return err
+		})
+		return v, err
+	})
+	if err != nil {
+		return out, false, err
+	}
+	if shared {
+		s.dedups.Add(1)
+	}
+	return v.(R), shared, nil
+}
+
+// keyDigest is how a key payload carries a policy artifact: by canonical
+// digest, so artifact size never inflates key payloads while distinct
+// artifacts can never alias. The empty artifact stays empty.
+func keyDigest(blob string) string {
+	if blob == "" {
+		return ""
+	}
+	return "digest:" + control.BlobDigest(blob)
+}
+
+// checkRanges validates the fields every compute request shares. A zero
+// pllScale means "default" and passes. The negated-range forms make NaN
+// (possible from Go callers; JSON cannot encode it) fail validation instead
+// of slipping past `x < 0` checks.
+func checkRanges(window int64, jitter, pllScale float64, timeoutMS int64) error {
+	switch {
+	case window < 0:
+		return fmt.Errorf("service: negative window %d", window)
+	case !(jitter >= 0 && jitter <= 0.05):
+		return fmt.Errorf("service: jitter fraction %v out of range [0, 0.05]", jitter)
+	case pllScale != 0 && !(pllScale > 0):
+		return fmt.Errorf("service: pll scale %v must be positive", pllScale)
+	case timeoutMS < 0:
+		return fmt.Errorf("service: negative timeout_ms %d", timeoutMS)
+	}
+	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -468,9 +519,6 @@ func (r RunRequest) normalize() (RunRequest, error) {
 	if r.Window == 0 {
 		r.Window = 100_000
 	}
-	if r.Window < 0 {
-		return r, fmt.Errorf("service: negative window %d", r.Window)
-	}
 	if r.IntIQ == 0 {
 		r.IntIQ = 16
 	}
@@ -483,16 +531,8 @@ func (r RunRequest) normalize() (RunRequest, error) {
 	if r.PLLScale == 0 {
 		r.PLLScale = 0.1
 	}
-	// Negated-range forms so NaN (possible from Go callers; JSON cannot
-	// encode it) fails validation instead of slipping past `x < 0` checks.
-	if !(r.JitterFrac >= 0 && r.JitterFrac <= 0.05) {
-		return r, fmt.Errorf("service: jitter fraction %v out of range [0, 0.05]", r.JitterFrac)
-	}
-	if !(r.PLLScale > 0) {
-		return r, fmt.Errorf("service: pll scale %v must be positive", r.PLLScale)
-	}
-	if r.TimeoutMS < 0 {
-		return r, fmt.Errorf("service: negative timeout_ms %d", r.TimeoutMS)
+	if err := checkRanges(r.Window, r.JitterFrac, r.PLLScale, r.TimeoutMS); err != nil {
+		return r, err
 	}
 	if _, _, err := r.machine(); err != nil {
 		return r, err
@@ -607,33 +647,23 @@ func (s *Service) runOne(ctx context.Context, spec workload.Spec, cfg core.Confi
 	return res, err
 }
 
-// cacheKey returns the normalized request's persistent-cache key: Priority
-// zeroed (result-neutral) and the blob artifact replaced by its canonical
-// digest, so artifact size never inflates key payloads while distinct
-// artifacts can never alias.
-func (r RunRequest) cacheKey() string {
-	r.Priority = 0
-	r.TimeoutMS = 0
-	r.Telemetry = false
-	if r.PolicyBlob != "" {
-		r.PolicyBlob = "digest:" + control.BlobDigest(r.PolicyBlob)
-	}
-	return resultcache.Key("run", r)
+// keyPayload is the normalized request as its keys hash it: the
+// result-neutral Priority, TimeoutMS and Telemetry zeroed and the blob
+// artifact replaced by its digest.
+func (r RunRequest) keyPayload() RunRequest {
+	r.Priority, r.TimeoutMS, r.Telemetry = 0, 0, false
+	r.PolicyBlob = keyDigest(r.PolicyBlob)
+	return r
 }
 
-// telemetryKey returns the run's telemetry artifact key: the same
-// normalized payload as cacheKey under the "telemetry" kind, so the
-// artifact is content-addressed by the run identity that produced it and a
-// given digest always names the series of exactly one normalized request.
-func (r RunRequest) telemetryKey() string {
-	r.Priority = 0
-	r.TimeoutMS = 0
-	r.Telemetry = false
-	if r.PolicyBlob != "" {
-		r.PolicyBlob = "digest:" + control.BlobDigest(r.PolicyBlob)
-	}
-	return resultcache.Key("telemetry", r)
-}
+// cacheKey returns the normalized request's persistent-cache key.
+func (r RunRequest) cacheKey() string { return resultcache.Key("run", r.keyPayload()) }
+
+// telemetryKey returns the run's telemetry artifact key: the cacheKey
+// payload under the "telemetry" kind, so the artifact is content-addressed
+// by the run identity that produced it and a given digest always names the
+// series of exactly one normalized request.
+func (r RunRequest) telemetryKey() string { return resultcache.Key("telemetry", r.keyPayload()) }
 
 // telemetryDigest extracts the hex digest a client uses against
 // GET /v1/telemetry/<digest> from an artifact key ("telemetry/<digest>").
@@ -718,26 +748,17 @@ func (s *Service) Run(ctx context.Context, req RunRequest) (RunResult, error) {
 	if err != nil {
 		return RunResult{}, err
 	}
-	ctx, cancel, err := s.dispatch(ctx, n.TimeoutMS)
-	if err != nil {
-		return RunResult{}, err
-	}
-	defer cancel()
-	key := n.cacheKey()
-
 	// A telemetry request joins its own singleflight lane: an in-flight
 	// plain twin computes no artifact, so joining it would return a digest
 	// that was never persisted. The persistent-cache key stays shared — the
 	// run result is identical either way.
-	var telKey string
-	flightKey := key
+	key := n.cacheKey()
+	telKey, flightKey := "", key
 	if n.Telemetry {
-		telKey = n.telemetryKey()
-		flightKey = key + "+telemetry"
+		telKey, flightKey = n.telemetryKey(), key+"+telemetry"
 	}
-
-	tr := tracerFrom(ctx)
-	v, err, shared := s.flight.Do(ctx, flightKey, func() (any, error) {
+	out, shared, err := serve(s, ctx, n.TimeoutMS, flightKey, func(ctx context.Context) (RunResult, error) {
+		tr := tracerFrom(ctx)
 		var out RunResult
 		lookup := tr.Start("cache-lookup", "run")
 		if s.cache.Load(key, &out) && (!n.Telemetry || s.cache.Has(telKey)) {
@@ -791,15 +812,8 @@ func (s *Service) Run(ctx context.Context, req RunRequest) (RunResult, error) {
 		persist.End()
 		return out, nil
 	})
-	if err != nil {
-		return RunResult{}, err
-	}
-	out := v.(RunResult)
-	if shared {
-		s.dedups.Add(1)
-		out.Deduped = true
-	}
-	return out, nil
+	out.Deduped = shared
+	return out, err
 }
 
 // BatchItem is one entry of a batched run response: a result or an error.
@@ -932,37 +946,23 @@ func (r SweepRequest) normalize() (SweepRequest, error) {
 			return r, fmt.Errorf("service: unknown benchmark %q", r.Bench)
 		}
 	}
-	if r.Window < 0 {
-		return r, fmt.Errorf("service: negative window %d", r.Window)
+	// Checked before defaulting, which would replace a negative window.
+	if err := checkRanges(r.Window, r.JitterFrac, r.PLLScale, r.TimeoutMS); err != nil {
+		return r, err
 	}
-	so := sweep.Options{Window: r.Window, Seed: r.Seed, JitterFrac: r.JitterFrac, PLLScale: r.PLLScale}.WithDefaults()
+	so := sweep.Options{Window: r.Window, Seed: r.Seed, PLLScale: r.PLLScale}.WithDefaults()
 	r.Window, r.Seed, r.PLLScale = so.Window, so.Seed, so.PLLScale
-	if !(r.JitterFrac >= 0 && r.JitterFrac <= 0.05) {
-		return r, fmt.Errorf("service: jitter fraction %v out of range [0, 0.05]", r.JitterFrac)
-	}
-	if !(r.PLLScale > 0) {
-		return r, fmt.Errorf("service: pll scale %v must be positive", r.PLLScale)
-	}
-	if r.TimeoutMS < 0 {
-		return r, fmt.Errorf("service: negative timeout_ms %d", r.TimeoutMS)
-	}
 	return r, nil
 }
 
 // cacheKey returns the normalized sweep's request key: result-neutral
 // fields zeroed and policy-axis artifacts replaced by their digests.
 func (r SweepRequest) cacheKey() string {
-	r.Priority = 0
-	r.Workers = 0
-	r.TimeoutMS = 0
+	r.Priority, r.Workers, r.TimeoutMS = 0, 0, 0
 	if len(r.Policies) > 0 {
-		// Key policy-axis artifacts by canonical digest, like every other
-		// blob-carrying key payload.
 		ps := append([]sweep.PolicySetting(nil), r.Policies...)
 		for i := range ps {
-			if ps[i].Blob != "" {
-				ps[i].Blob = "digest:" + control.BlobDigest(ps[i].Blob)
-			}
+			ps[i].Blob = keyDigest(ps[i].Blob)
 		}
 		r.Policies = ps
 	}
@@ -998,14 +998,7 @@ func (s *Service) Sweep(ctx context.Context, req SweepRequest) (SweepResult, err
 	if err != nil {
 		return SweepResult{}, err
 	}
-	ctx, cancel, err := s.dispatch(ctx, n.TimeoutMS)
-	if err != nil {
-		return SweepResult{}, err
-	}
-	defer cancel()
-	key := n.cacheKey()
-
-	v, err, shared := s.flight.Do(ctx, key, func() (any, error) {
+	out, shared, err := serve(s, ctx, n.TimeoutMS, n.cacheKey(), func(ctx context.Context) (SweepResult, error) {
 		specs := workload.Suite()
 		if n.Bench != "" {
 			spec, _ := workload.ByName(n.Bench)
@@ -1024,54 +1017,38 @@ func (s *Service) Sweep(ctx context.Context, req SweepRequest) (SweepResult, err
 		default:
 			cfgs = sweep.AdaptiveSpace()
 		}
-
-		var out SweepResult
-		err := contain(func() error {
-			so := sweep.Options{
-				Window: n.Window, Workers: n.Workers, Seed: n.Seed,
-				JitterFrac: n.JitterFrac, PLLScale: n.PLLScale,
-				Traces: s.tracePool(n.Window),
-				Exec:   s.pool, Priority: n.Priority,
-				Ctx:             ctx,
-				Tracer:          tracerFrom(ctx),
-				CheckpointEvery: s.cfg.CheckpointEvery,
-				Env:             s.env,
-			}
-			sum, err := sweep.MeasureSummary(specs, cfgs, so)
-			if err != nil {
-				return err
-			}
-			if sum.Best < 0 {
-				return fmt.Errorf("service: sweep produced no finite run times")
-			}
-			out = SweepResult{
-				Space: n.Space, Configs: len(cfgs), Benchmarks: len(specs),
-				Window: n.Window, Best: cfgs[sum.Best].Label(),
-			}
-			for si, bi := range sum.PerApp {
-				out.PerApp = append(out.PerApp, AppBest{
-					Bench:  specs[si].Name,
-					Config: cfgs[bi].Label(),
-					TimeFS: sum.PerAppTimes[si],
-				})
-			}
-			return nil
+		sum, err := sweep.MeasureSummary(specs, cfgs, sweep.Options{
+			Window: n.Window, Workers: n.Workers, Seed: n.Seed,
+			JitterFrac: n.JitterFrac, PLLScale: n.PLLScale,
+			Traces: s.tracePool(n.Window),
+			Exec:   s.pool, Priority: n.Priority,
+			Ctx:             ctx,
+			Tracer:          tracerFrom(ctx),
+			CheckpointEvery: s.cfg.CheckpointEvery,
+			Env:             s.env,
 		})
 		if err != nil {
 			return SweepResult{}, err
 		}
+		if sum.Best < 0 {
+			return SweepResult{}, fmt.Errorf("service: sweep produced no finite run times")
+		}
+		out := SweepResult{
+			Space: n.Space, Configs: len(cfgs), Benchmarks: len(specs),
+			Window: n.Window, Best: cfgs[sum.Best].Label(),
+		}
+		for si, bi := range sum.PerApp {
+			out.PerApp = append(out.PerApp, AppBest{
+				Bench:  specs[si].Name,
+				Config: cfgs[bi].Label(),
+				TimeFS: sum.PerAppTimes[si],
+			})
+		}
 		s.maybePrune()
 		return out, nil
 	})
-	if err != nil {
-		return SweepResult{}, err
-	}
-	out := v.(SweepResult)
-	if shared {
-		s.dedups.Add(1)
-		out.Deduped = true
-	}
-	return out, nil
+	out.Deduped = shared
+	return out, err
 }
 
 // ---------------------------------------------------------------------------
@@ -1101,22 +1078,13 @@ type SuiteRequest struct {
 // validate rejects parameter values the simulator would panic on or
 // produce garbage from; the zero value of every field is valid (defaults).
 func (r SuiteRequest) validate() error {
-	if r.Window < 0 {
-		return fmt.Errorf("service: negative window %d", r.Window)
-	}
-	if !(r.JitterFrac >= 0 && r.JitterFrac <= 0.05) {
-		return fmt.Errorf("service: jitter fraction %v out of range [0, 0.05]", r.JitterFrac)
-	}
-	if r.PLLScale != 0 && !(r.PLLScale > 0) {
-		return fmt.Errorf("service: pll scale %v must be positive", r.PLLScale)
+	if err := checkRanges(r.Window, r.JitterFrac, r.PLLScale, r.TimeoutMS); err != nil {
+		return err
 	}
 	if r.Policy != "" || r.PolicyParams != "" || r.PolicyBlob != "" {
 		if err := control.ValidateSelection(r.Policy, r.PolicyParams, r.PolicyBlob); err != nil {
 			return fmt.Errorf("service: %w", err)
 		}
-	}
-	if r.TimeoutMS < 0 {
-		return fmt.Errorf("service: negative timeout_ms %d", r.TimeoutMS)
 	}
 	return nil
 }
@@ -1141,15 +1109,27 @@ func (r SuiteRequest) options() experiment.Options {
 	return o
 }
 
-// cacheKey returns the suite request's key: its pipeline options with
-// Workers zeroed and the policy artifact replaced by its digest.
-func (r SuiteRequest) cacheKey() string {
-	keyReq := r.options()
-	keyReq.Workers = 0
-	if keyReq.PolicyBlob != "" {
-		keyReq.PolicyBlob = "digest:" + control.BlobDigest(keyReq.PolicyBlob)
-	}
-	return resultcache.Key("suitereq", keyReq)
+// keyPayload is the request's pipeline options as its keys hash them:
+// Workers zeroed and the policy artifact replaced by its digest (the
+// service wiring pipelineOptions adds is excluded from JSON).
+func (r SuiteRequest) keyPayload() experiment.Options {
+	o := r.options()
+	o.Workers = 0
+	o.PolicyBlob = keyDigest(o.PolicyBlob)
+	return o
+}
+
+// cacheKey returns the suite request's key.
+func (r SuiteRequest) cacheKey() string { return resultcache.Key("suitereq", r.keyPayload()) }
+
+// pipelineOptions wires a suite or experiment request's pipeline to this
+// service: the shared pool at the request's priority, the request's
+// context and tracer, checkpointing and persistence.
+func (s *Service) pipelineOptions(ctx context.Context, r SuiteRequest) experiment.Options {
+	o := r.options()
+	o.Exec, o.Priority, o.Ctx, o.Tracer = s.pool, r.Priority, ctx, tracerFrom(ctx)
+	o.CheckpointEvery, o.Env = s.cfg.CheckpointEvery, s.env
+	return o
 }
 
 // SuiteBench is one benchmark row of a suite summary.
@@ -1176,26 +1156,9 @@ func (s *Service) Suite(ctx context.Context, req SuiteRequest) (SuiteSummary, er
 	if err := req.validate(); err != nil {
 		return SuiteSummary{}, err
 	}
-	ctx, cancel, err := s.dispatch(ctx, req.TimeoutMS)
-	if err != nil {
-		return SuiteSummary{}, err
-	}
-	defer cancel()
-	o := req.options()
-	key := req.cacheKey()
-
-	v, err, shared := s.flight.Do(ctx, key, func() (any, error) {
-		var r *experiment.SuiteResult
-		if err := contain(func() (err error) {
-			o.Exec = s.pool
-			o.Priority = req.Priority
-			o.Ctx = ctx
-			o.Tracer = tracerFrom(ctx)
-			o.CheckpointEvery = s.cfg.CheckpointEvery
-			o.Env = s.env
-			r, err = experiment.RunSuite(o)
-			return err
-		}); err != nil {
+	out, shared, err := serve(s, ctx, req.TimeoutMS, req.cacheKey(), func(ctx context.Context) (SuiteSummary, error) {
+		r, err := experiment.RunSuite(s.pipelineOptions(ctx, req))
+		if err != nil {
 			return SuiteSummary{}, err
 		}
 		out := SuiteSummary{
@@ -1214,15 +1177,8 @@ func (s *Service) Suite(ctx context.Context, req SuiteRequest) (SuiteSummary, er
 		s.maybePrune()
 		return out, nil
 	})
-	if err != nil {
-		return SuiteSummary{}, err
-	}
-	out := v.(SuiteSummary)
-	if shared {
-		s.dedups.Add(1)
-		out.Deduped = true
-	}
-	return out, nil
+	out.Deduped = shared
+	return out, err
 }
 
 // ExperimentRequest asks for one regenerated table or figure by ID.
@@ -1231,33 +1187,24 @@ type ExperimentRequest struct {
 	SuiteRequest
 }
 
-// Experiment regenerates one of the paper's tables or figures.
+// Experiment regenerates one of the paper's tables or figures. Identical
+// concurrent requests share one regeneration; the table itself is not
+// persisted (the suite and sweeps beneath it are).
 func (s *Service) Experiment(ctx context.Context, req ExperimentRequest) (*experiment.Table, error) {
 	if req.ID == "" {
 		return nil, fmt.Errorf("service: missing experiment id")
 	}
-	if err := req.SuiteRequest.validate(); err != nil {
+	if err := req.validate(); err != nil {
 		return nil, err
 	}
-	ctx, cancel, err := s.dispatch(ctx, req.TimeoutMS)
-	if err != nil {
-		return nil, err
-	}
-	defer cancel()
-	o := req.SuiteRequest.options()
-	o.Exec = s.pool
-	o.Priority = req.Priority
-	o.Ctx = ctx
-	o.CheckpointEvery = s.cfg.CheckpointEvery
-	o.Env = s.env
-	var t *experiment.Table
-	if err := contain(func() (err error) {
-		t, err = experiment.Run(req.ID, o)
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	return t, nil
+	key := resultcache.Key("experimentreq", struct {
+		ID      string
+		Options experiment.Options
+	}{req.ID, req.keyPayload()})
+	t, _, err := serve(s, ctx, req.TimeoutMS, key, func(ctx context.Context) (*experiment.Table, error) {
+		return experiment.Run(req.ID, s.pipelineOptions(ctx, req.SuiteRequest))
+	})
+	return t, err
 }
 
 // ---------------------------------------------------------------------------

@@ -111,8 +111,9 @@ func (a *summaryAcc) checkpoint(sumKey string) *sweepCheckpoint {
 
 // restore rebuilds a summaryAcc from a loaded checkpoint, or returns nil
 // when the blob doesn't match the request (stale version, different
-// dimensions) or is internally inconsistent — every nil here degrades to
-// a cold sweep, never a wrong answer.
+// dimensions) or is internally inconsistent, a bit past the last cell
+// included (the resumed-cell count reads the bitmap) — every nil here
+// degrades to a cold sweep, never a wrong answer.
 func (ck *sweepCheckpoint) restore(nspecs, ncfgs int) *summaryAcc {
 	if ck.Version != ckptVersion || ck.NumSpecs != nspecs || ck.NumCfgs != ncfgs {
 		return nil
@@ -122,7 +123,7 @@ func (ck *sweepCheckpoint) restore(nspecs, ncfgs int) *summaryAcc {
 	}
 	a := newSummaryAcc(nspecs, ncfgs)
 	a.done = append([]uint64(nil), ck.Done...)
-	folded := false
+	folded, total := false, 0
 	for ci := 0; ci < ncfgs; ci++ {
 		n := 0
 		for si := 0; si < nspecs; si++ {
@@ -132,8 +133,9 @@ func (ck *sweepCheckpoint) restore(nspecs, ncfgs int) *summaryAcc {
 		}
 		a.left[ci] = nspecs - n
 		folded = folded || n == nspecs
+		total += n
 	}
-	if !summaryShapeOK(ck.Sum, nspecs, ncfgs, folded) {
+	if popcount(a.done) != total || !summaryShapeOK(ck.Sum, nspecs, ncfgs, folded) {
 		return nil
 	}
 	a.sum = ck.Sum

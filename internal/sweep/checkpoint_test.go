@@ -377,12 +377,27 @@ func TestCheckpointRestoreRejectsBadShape(t *testing.T) {
 	}
 }
 
+// TestCheckpointRestoreRejectsStrayBits: a done bitmap with a bit set past
+// the last cell is a miss, since a resume adds the bitmap's popcount to
+// the resumed-cell counter.
+func TestCheckpointRestoreRejectsStrayBits(t *testing.T) {
+	var ck sweepCheckpoint
+	if err := json.Unmarshal([]byte(parentCheckpoint), &ck); err != nil {
+		t.Fatal(err)
+	}
+	ck.Done[0] |= 1 << 50 // the sweep has 2x3 cells
+	if ck.restore(2, 3) != nil {
+		t.Fatal("checkpoint with a done bit past the last cell restored")
+	}
+}
+
 // FuzzSweepCheckpoint feeds arbitrary bytes through the decode and restore
 // path a resuming MeasureSummary takes, for a request of nspecs benchmarks
 // by ncfgs configurations. Restore must never panic, and a checkpoint it
 // accepts must fold the cells it leaves open into a summary that passes
-// the shape check a loaded summary must pass. Seeds, real checkpoints
-// among them, are in testdata/fuzz/FuzzSweepCheckpoint.
+// the shape check a loaded summary must pass, with exactly one done bit
+// per cell. Seeds, real checkpoints among them, are in
+// testdata/fuzz/FuzzSweepCheckpoint.
 func FuzzSweepCheckpoint(f *testing.F) {
 	f.Fuzz(func(t *testing.T, blob []byte, nspecs, ncfgs uint8) {
 		var ck sweepCheckpoint
@@ -404,6 +419,9 @@ func FuzzSweepCheckpoint(f *testing.F) {
 		}
 		if !summaryShapeOK(acc.sum, ns, nc, nc > 0) {
 			t.Fatalf("accepted checkpoint sealed to a malformed summary: %+v", acc.sum)
+		}
+		if n := popcount(acc.done); n != ns*nc {
+			t.Fatalf("accepted checkpoint sealed with %d done bits, want %d", n, ns*nc)
 		}
 	})
 }

@@ -709,16 +709,3 @@ func Improvement(baseline, adapted timing.FS) float64 {
 	}
 	return (float64(baseline)/float64(adapted) - 1) * 100
 }
-
-// SetsAdaptiveSpace enumerates the Program-Adaptive configurations with
-// the sets-resized (direct-mapped) front end of the paper's Section 7
-// future work, in place of the ways-based Table 2 design.
-func SetsAdaptiveSpace() []core.Config {
-	cfgs := AdaptiveSpace()
-	out := make([]core.Config, len(cfgs))
-	for i, c := range cfgs {
-		c.ICacheBySets = true
-		out[i] = c
-	}
-	return out
-}
