@@ -350,17 +350,6 @@ func (s *Service) Scrub() (ScrubReport, error) {
 	return r, nil
 }
 
-// contain runs fn and converts a panic into an error: one malformed request
-// must never unwind a server goroutine.
-func contain(fn func() error) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("service: job panicked: %v", r)
-		}
-	}()
-	return fn()
-}
-
 // serve is the one request path behind Run, Sweep, Suite and Experiment;
 // each endpoint brings only its normalized request's flight key and its
 // compute. In order:
@@ -371,8 +360,9 @@ func contain(fn func() error) (err error) {
 //     context;
 //   - singleflight: concurrent requests with the same flightKey share one
 //     compute, which runs under the first caller's bounded context;
-//   - contain: a panicking compute becomes an error, so the flight still
-//     completes and its key never wedges;
+//   - containment: a panicking compute becomes a "job panicked" error, so
+//     one malformed request never unwinds a server goroutine, and its
+//     flight still completes instead of wedging the key;
 //   - dedups: shared reports (and the counter records) a caller that got
 //     its result by joining an in-flight twin. A failed request is never
 //     counted as shared.
@@ -403,11 +393,12 @@ func serve[R any](s *Service, ctx context.Context, timeoutMS int64, flightKey st
 	defer context.AfterFunc(s.shutCtx, cancel)()
 
 	v, err, shared := s.flight.Do(ctx, flightKey, func() (v any, err error) {
-		err = contain(func() (err error) {
-			v, err = compute(ctx)
-			return err
-		})
-		return v, err
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("service: job panicked: %v", r)
+			}
+		}()
+		return compute(ctx)
 	})
 	if err != nil {
 		return out, false, err
