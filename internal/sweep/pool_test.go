@@ -230,7 +230,10 @@ func TestPoolHigherPriorityPreemptsQueuedGroup(t *testing.T) {
 // batches, so the lock acquisitions spent stealing stay far below the
 // number of cells that changed workers. The pre-batch design took exactly
 // one acquisition per stolen cell (StolenCells == Steals); the batch design
-// must amortize by a wide factor.
+// must amortize by a wide factor. The group's first cell holds the
+// admitting worker until half the cells have run elsewhere, so the test
+// never depends on the other workers waking before that worker drains
+// the whole group alone.
 func TestPoolBatchStealAmortizesLockTraffic(t *testing.T) {
 	const workers = 4
 	const cells = 4096
@@ -238,9 +241,26 @@ func TestPoolBatchStealAmortizesLockTraffic(t *testing.T) {
 	defer p.Close()
 
 	var ran atomic.Int64
+	half := make(chan struct{})
+	count := func() {
+		if ran.Add(1) == cells/2 {
+			close(half)
+		}
+	}
 	group := make([]func(), cells)
 	for i := range group {
-		group[i] = func() { ran.Add(1) }
+		group[i] = count
+	}
+	// The admitting worker pops the front cell in the same lock hold that
+	// puts the group on its deque, and thieves take from the back, so
+	// group[0] always runs first, on the admitting worker.
+	group[0] = func() {
+		select {
+		case <-half:
+		case <-time.After(10 * time.Second):
+			t.Error("no other worker ran the held worker's cells within 10s")
+		}
+		count()
 	}
 	// One group: every cell lands on the admitting worker's deque, so all
 	// other workers' work arrives exclusively by stealing.
@@ -251,8 +271,8 @@ func TestPoolBatchStealAmortizesLockTraffic(t *testing.T) {
 		t.Fatalf("ran %d cells, want %d", ran.Load(), cells)
 	}
 	steals, stolen := p.Steals(), p.StolenCells()
-	if stolen == 0 {
-		t.Skip("no steals happened (single-threaded scheduling); nothing to amortize")
+	if stolen < cells/2 {
+		t.Fatalf("%d cells migrated while the admitting worker was held, want >= %d", stolen, cells/2)
 	}
 	if steals > stolen/4 {
 		t.Errorf("%d steal lock acquisitions for %d migrated cells: batch steal should amortize >= 4x (single-cell stealing would need %d)",
