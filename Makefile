@@ -64,18 +64,22 @@ chaos:
 crash:
 	$(GO) test -race -run 'Crash|Resume|Scrub' ./...
 
-# Fuzz gate (also three CI steps): FuzzClockEdges checks the clock's
+# Fuzz gate (also four CI steps): FuzzClockEdges checks the clock's
 # division-free edge arithmetic against a plain / and % reference over
 # random epoch sequences; FuzzSweepCheckpoint and FuzzPhaseCheckpoint
 # decode arbitrary bytes as a MeasureSummary or MeasurePhase checkpoint and
 # check that restore never panics and that an accepted checkpoint completes
-# to a well-formed summary or a result for every benchmark. `go test ./...`
-# replays only their seed corpora (testdata/fuzz in each package); this
-# target mutates new inputs for 15 s each.
+# to a well-formed summary or a result for every benchmark;
+# FuzzRunRequestNormalize decodes arbitrary bytes as a /v1/run body and
+# checks that normalization either fails or reaches a fixed point with a
+# stable cache key. `go test ./...` replays only their seed corpora
+# (testdata/fuzz in each package); this target mutates new inputs for 15 s
+# each.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzClockEdges -fuzztime 15s ./internal/clock
 	$(GO) test -run '^$$' -fuzz FuzzSweepCheckpoint -fuzztime 15s ./internal/sweep
 	$(GO) test -run '^$$' -fuzz FuzzPhaseCheckpoint -fuzztime 15s ./internal/sweep
+	$(GO) test -run '^$$' -fuzz FuzzRunRequestNormalize -fuzztime 15s ./internal/service
 
 # Observability smoke (also a CI job): build galsd + galsload, then have
 # galsload launch the daemon, drive a short mixed closed loop against it,

@@ -41,9 +41,6 @@ func New(geom timing.BPredGeom) *Predictor {
 	}
 }
 
-// Geom returns the predictor's geometry.
-func (p *Predictor) Geom() timing.BPredGeom { return p.geom }
-
 // pcHash spreads instruction addresses across table indices. Hardware uses
 // plain low-order bits, which works because real branch addresses are
 // irregular; synthetic traces lay code out at regular strides, so an

@@ -274,26 +274,6 @@ func ClassifyPos(pos, waysA int, bEnabled bool) Class {
 	}
 }
 
-// Probe reports whether addr currently hits in the enabled partitions,
-// without updating any state. Used by tests and by store-commit handling.
-func (c *AccountingCache) Probe(addr uint64) (Class, bool) {
-	line := c.LineAddr(addr)
-	base := c.setIndex(line) * c.geo.Ways
-	for i := 0; i < c.geo.Ways; i++ {
-		if c.tags[base+i] == line {
-			switch {
-			case i < c.waysA:
-				return AHit, true
-			case c.bEnabled:
-				return BHit, true
-			default:
-				return Miss, false
-			}
-		}
-	}
-	return Miss, false
-}
-
 // Stats returns a copy of the interval statistics.
 func (c *AccountingCache) Stats() Stats { return c.stats.Clone() }
 

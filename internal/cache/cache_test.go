@@ -229,24 +229,6 @@ func TestWritebacks(t *testing.T) {
 	}
 }
 
-func TestProbe(t *testing.T) {
-	c := New(testGeo())
-	c.Configure(1, false)
-	c.Access(0x4000, false)
-	if cls, ok := c.Probe(0x4000); !ok || cls != AHit {
-		t.Errorf("Probe resident = %v,%v, want A-hit,true", cls, ok)
-	}
-	if _, ok := c.Probe(0x9999999); ok {
-		t.Error("Probe of absent line reported a hit")
-	}
-	// Probe must not disturb MRU state or stats.
-	before := c.Stats().Accesses
-	c.Probe(0x4000)
-	if c.Stats().Accesses != before {
-		t.Error("Probe changed access statistics")
-	}
-}
-
 func TestCostModel(t *testing.T) {
 	p := CostParams{ALat: 2, BLat: 8, Period: 1000, MissPenalty: 50_000}
 	// 10 A hits only: 10*2 cycles * 1000 fs.

@@ -447,8 +447,5 @@ func adaptiveGeometry() (i, d, l2 cache.Geometry) {
 // ways in the physically 8-way adaptive caches.
 func dcacheWaysA(c timing.DCacheConfig) int { return c.Spec().Assoc }
 
-// Source returns the bound instruction source.
-func (m *Machine) Source() InstSource { return m.trace }
-
 // Clock returns a domain clock (for tests).
 func (m *Machine) Clock(d clock.Domain) *clock.Clock { return m.clocks[d] }

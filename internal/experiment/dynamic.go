@@ -5,11 +5,12 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"gals/internal/core"
+	"gals/internal/flight"
 	"gals/internal/resultcache"
 	"gals/internal/sweep"
 	"gals/internal/timing"
@@ -47,18 +48,10 @@ func (r *SuiteResult) PhaseImprovement(i int) float64 {
 	return sweep.Improvement(r.SyncTimes[i], r.PhaseResults[i].TimeFS)
 }
 
-// suiteCall is one suite computation in the process-local memo: done
-// closes once it finishes, and r is nil when it failed.
-type suiteCall struct {
-	done chan struct{}
-	r    *SuiteResult
-}
-
 var (
-	// suiteMu guards only the memo map; computations run outside it, so
-	// suites for different Options never wait on each other.
-	suiteMu       sync.Mutex
-	suiteCache    = map[Options]*suiteCall{}
+	// suites is the process-local suite memo: computations for different
+	// Options never wait on each other.
+	suites        flight.Group[Options, *SuiteResult]
 	suiteComputes atomic.Int64
 )
 
@@ -66,11 +59,7 @@ var (
 // if any, is untouched). Intended for tests and cache administration: after
 // a reset, the next RunSuite must come from the persistent layer or be
 // recomputed.
-func ResetSuiteMemo() {
-	suiteMu.Lock()
-	defer suiteMu.Unlock()
-	suiteCache = map[Options]*suiteCall{}
-}
+func ResetSuiteMemo() { suites.Reset() }
 
 // normalized resolves defaulted fields, so Window 0 and the explicit
 // default window run (and memoize) identically. Seed and PLLScale resolve
@@ -112,58 +101,26 @@ func SuiteComputations() int64 { return suiteComputes.Load() }
 // the benchmark harness share one best-synchronous sweep and one set of
 // Program-Adaptive searches). A caller whose Options are already being
 // computed waits for that computation, or for its own Ctx to end; if the
-// computation fails (say, its caller's ctx was cancelled), the waiter
-// computes the suite itself.
+// computation fails because its caller's Ctx ended, the waiter computes the
+// suite itself. A failed computation is never memoized.
 func RunSuite(o Options) (*SuiteResult, error) {
 	o = o.normalized()
 	memo := o.memoKey()
-	var cancelled <-chan struct{}
-	if o.Ctx != nil {
-		cancelled = o.Ctx.Done()
-	}
-	for {
-		suiteMu.Lock()
-		c, inFlight := suiteCache[memo]
-		if !inFlight {
-			c = &suiteCall{done: make(chan struct{})}
-			suiteCache[memo] = c
-		}
-		suiteMu.Unlock()
-		if !inFlight {
-			return c.compute(o, memo)
-		}
-		select {
-		case <-c.done:
-			if c.r != nil {
-				return c.r, nil
-			}
-		case <-cancelled:
-			return nil, o.Ctx.Err()
-		}
-	}
+	r, _, err := suites.Do(o.Ctx, memo, func(context.Context) (*SuiteResult, error) {
+		return computeSuite(o, memo)
+	})
+	return r, err
 }
 
-// compute runs the pipeline for the memo entry c (or loads it from the
-// persistent store). A failed computation leaves the memo, so the next
-// request for these Options starts afresh.
-func (c *suiteCall) compute(o, memo Options) (*SuiteResult, error) {
-	defer func() {
-		if c.r == nil {
-			suiteMu.Lock()
-			if suiteCache[memo] == c {
-				delete(suiteCache, memo)
-			}
-			suiteMu.Unlock()
-		}
-		close(c.done)
-	}()
+// computeSuite runs the pipeline for o (or loads it from the persistent
+// store).
+func computeSuite(o, memo Options) (*SuiteResult, error) {
 	key := resultcache.Key("suite", memo)
 	store := o.Env.Cache
 	if store != nil {
 		var cached SuiteResult
 		if store.Load(key, &cached) {
-			c.r = &cached
-			return c.r, nil
+			return &cached, nil
 		}
 	}
 	suiteComputes.Add(1)
@@ -223,25 +180,14 @@ func (c *suiteCall) compute(o, memo Options) (*SuiteResult, error) {
 	if store != nil {
 		store.Store(key, r)
 	}
-	c.r = r
 	return r, nil
 }
 
 // cachedSuite returns the memoized suite for o, or nil without computing
 // or waiting for anything.
 func cachedSuite(o Options) *SuiteResult {
-	suiteMu.Lock()
-	c := suiteCache[o.memoKey()]
-	suiteMu.Unlock()
-	if c == nil {
-		return nil
-	}
-	select {
-	case <-c.done:
-		return c.r
-	default:
-		return nil
-	}
+	r, _ := suites.Peek(o.memoKey())
+	return r
 }
 
 // Figure6 regenerates paper Figure 6: per-application percent run-time

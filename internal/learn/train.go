@@ -8,12 +8,13 @@
 package learn
 
 import (
+	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"gals/internal/control"
 	"gals/internal/core"
+	"gals/internal/flight"
 	"gals/internal/resultcache"
 	"gals/internal/sweep"
 	"gals/internal/timing"
@@ -202,9 +203,10 @@ func fit(ds []sample, epochs int) ([]float64, float64) {
 // The sidecar artifact.
 
 var (
-	artifactMu   sync.Mutex
-	artifactMemo = map[string]string{}
-	trainings    atomic.Int64
+	// artifacts is the process-local memo: a training run holds up only
+	// the callers of its own key.
+	artifacts flight.Group[string, string]
+	trainings atomic.Int64
 )
 
 // Trainings reports how many times the training pipeline actually executed
@@ -225,18 +227,21 @@ func ArtifactKey(o TrainOptions) string {
 // decodes and re-encodes to exactly the trained bytes.
 func Artifact(env sweep.Env, o TrainOptions) (string, error) {
 	key := ArtifactKey(o)
+	blob, _, err := artifacts.Do(nil, key, func(context.Context) (string, error) {
+		return trainArtifact(env, o, key)
+	})
+	return blob, err
+}
+
+// trainArtifact loads the sidecar for key from env.Cache or, failing that,
+// trains and writes it.
+func trainArtifact(env sweep.Env, o TrainOptions, key string) (string, error) {
 	store := env.Cache
-	artifactMu.Lock()
-	defer artifactMu.Unlock()
-	if blob, ok := artifactMemo[key]; ok {
-		return blob, nil
-	}
 	if store != nil {
 		var m Model
 		if store.Load(key, &m) {
 			if blob, err := m.Encode(); err == nil {
 				if _, perr := ParseModel(blob); perr == nil {
-					artifactMemo[key] = blob
 					return blob, nil
 				}
 			}
@@ -256,14 +261,9 @@ func Artifact(env sweep.Env, o TrainOptions) (string, error) {
 	if store != nil {
 		store.Store(key, m)
 	}
-	artifactMemo[key] = blob
 	return blob, nil
 }
 
 // ResetArtifactMemo drops the process-local artifact memo (tests and cache
 // administration; the persistent sidecars are untouched).
-func ResetArtifactMemo() {
-	artifactMu.Lock()
-	defer artifactMu.Unlock()
-	artifactMemo = map[string]string{}
-}
+func ResetArtifactMemo() { artifacts.Reset() }

@@ -16,14 +16,23 @@ import (
 	"time"
 )
 
+// maxSpans bounds the spans one trace records. A cold suite opens a few
+// spans per cell over tens of thousands of cells; past the cap, spans are
+// counted in TraceDump.DroppedSpans instead of recorded, so a trace stays
+// under a megabyte. The cap is well above a single traced sweep's thousand
+// or so spans.
+const maxSpans = 4096
+
 // A Tracer collects one request's span tree. Create with NewTracer;
 // concurrent Span/Child/End calls are safe (sweep cells run on many
 // workers at once).
 type Tracer struct {
-	mu   sync.Mutex
-	root *SpanData
-	t0   time.Time
-	now  func() time.Time // test seam; nil means time.Now
+	mu      sync.Mutex
+	root    *SpanData
+	spans   int   // spans recorded, at most maxSpans
+	dropped int64 // spans opened past maxSpans
+	t0      time.Time
+	now     func() time.Time // test seam; nil means time.Now
 }
 
 // SpanData is the serialized form of one span. StartUS is relative to the
@@ -44,9 +53,13 @@ type TraceDump struct {
 	// DurUS is the root span's duration: trace creation to Finish.
 	DurUS int64       `json:"dur_us"`
 	Spans []*SpanData `json:"spans,omitempty"`
+	// DroppedSpans counts the spans opened past maxSpans, which the trace
+	// does not hold.
+	DroppedSpans int64 `json:"dropped_spans,omitempty"`
 }
 
-// A Span is a handle on one in-progress span. The zero Span is a no-op.
+// A Span is a handle on one in-progress span. The zero Span is a no-op; a
+// span dropped past maxSpans has no data, and its children are dropped too.
 type Span struct {
 	tr    *Tracer
 	d     *SpanData
@@ -79,10 +92,15 @@ func (t *Tracer) Start(name, detail string) Span {
 
 func (t *Tracer) child(parent *SpanData, name, detail string) Span {
 	now := t.now()
-	d := &SpanData{Name: name, Detail: detail, StartUS: now.Sub(t.t0).Microseconds()}
 	t.mu.Lock()
+	defer t.mu.Unlock()
+	if parent == nil || t.spans >= maxSpans {
+		t.dropped++
+		return Span{tr: t}
+	}
+	t.spans++
+	d := &SpanData{Name: name, Detail: detail, StartUS: now.Sub(t.t0).Microseconds()}
 	parent.Children = append(parent.Children, d)
-	t.mu.Unlock()
 	return Span{tr: t, d: d, start: now}
 }
 
@@ -98,7 +116,7 @@ func (s Span) Child(name, detail string) Span {
 // End closes the span, recording its duration. Ending twice keeps the
 // later (longer) duration; ending a zero Span is a no-op.
 func (s Span) End() {
-	if s.tr == nil {
+	if s.d == nil {
 		return
 	}
 	dur := s.tr.now().Sub(s.start).Microseconds()
@@ -110,7 +128,7 @@ func (s Span) End() {
 // Annotate replaces the span's detail string (e.g. marking a cache hit
 // after the lookup resolved).
 func (s Span) Annotate(detail string) {
-	if s.tr == nil {
+	if s.d == nil {
 		return
 	}
 	s.tr.mu.Lock()
@@ -127,10 +145,11 @@ func (t *Tracer) Finish() *TraceDump {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return &TraceDump{
-		Name:    t.root.Name,
-		Started: t.t0,
-		DurUS:   t.now().Sub(t.t0).Microseconds(),
-		Spans:   t.root.Children,
+		Name:         t.root.Name,
+		Started:      t.t0,
+		DurUS:        t.now().Sub(t.t0).Microseconds(),
+		Spans:        t.root.Children,
+		DroppedSpans: t.dropped,
 	}
 }
 

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"bytes"
 	"encoding/json"
 	"sync"
 	"testing"
@@ -127,5 +128,62 @@ func TestNilTracerNoops(t *testing.T) {
 	s.End()
 	if tr.Finish() != nil {
 		t.Error("nil tracer Finish should be nil")
+	}
+}
+
+// TestTraceSpanCap: past maxSpans, spans (and the children of a dropped
+// span) are counted instead of recorded, so a trace over tens of thousands
+// of cells stays bounded; a trace under the cap reports no drops.
+func TestTraceSpanCap(t *testing.T) {
+	clk := &fakeClock{t: time.Unix(1000, 0), step: time.Microsecond}
+	tr := newTracerAt("suite", clk.now)
+	stage := tr.Start("measure", "")
+	var wg sync.WaitGroup
+	const workers, cells = 4, maxSpans
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < cells/workers; i++ {
+				cell := stage.Child("cell", "")
+				cell.Child("replay+measure", "").End()
+				cell.Annotate("done")
+				cell.End()
+			}
+		}()
+	}
+	wg.Wait()
+	stage.End()
+	dump := tr.Finish()
+	recorded := 0
+	var count func([]*SpanData)
+	count = func(spans []*SpanData) {
+		for _, sp := range spans {
+			recorded++
+			count(sp.Children)
+		}
+	}
+	count(dump.Spans)
+	opened := 1 + 2*cells
+	if recorded != maxSpans || dump.DroppedSpans != int64(opened-maxSpans) {
+		t.Fatalf("recorded %d spans and dropped %d, want %d and %d", recorded, dump.DroppedSpans, maxSpans, opened-maxSpans)
+	}
+	blob, err := json.Marshal(dump)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back TraceDump
+	if err := json.Unmarshal(blob, &back); err != nil || back.DroppedSpans != dump.DroppedSpans {
+		t.Fatalf("dropped_spans did not round-trip: %v, %d", err, back.DroppedSpans)
+	}
+
+	small := newTracerAt("run", clk.now)
+	small.Start("cell", "").End()
+	blob, err = json.Marshal(small.Finish())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(blob, []byte("dropped_spans")) {
+		t.Fatalf("a trace under the cap reports drops: %s", blob)
 	}
 }

@@ -193,3 +193,96 @@ func TestCancelledRecordingLeavesNoSlab(t *testing.T) {
 		}
 	}
 }
+
+// inFlight starts a recording of spec in st on its own goroutine and
+// returns once the store holds its in-progress acquisition, so a second
+// caller is certain to wait on it rather than lead.
+func inFlight(t *testing.T, st *Store, ctx context.Context, spec workload.Spec, n int64) <-chan error {
+	t.Helper()
+	errc := make(chan error, 1)
+	go func() {
+		_, err := st.RecordingContext(ctx, spec, n)
+		errc <- err
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for st.Live() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the first acquisition never started")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return errc
+}
+
+// TestCancelWaiterHonoursOwnDeadline: a caller waiting on another caller's
+// in-progress acquisition of the same slab returns its own deadline error
+// when its deadline passes, instead of waiting out the other recording.
+func TestCancelWaiterHonoursOwnDeadline(t *testing.T) {
+	defer faultinject.Disable()
+	// Every slab open sleeps, so the first acquisition outlasts the
+	// waiter's deadline many times over.
+	if err := faultinject.Enable("recstore.open=slow:1:300ms"); err != nil {
+		t.Fatal(err)
+	}
+	spec, _ := workload.ByName("art")
+	const n = 1500
+	st := openStore(t, t.TempDir())
+	first := inFlight(t, st, nil, spec, n)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if _, err := st.RecordingContext(ctx, spec, n); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("waiter with a 20ms deadline = %v, want context.DeadlineExceeded", err)
+	}
+	if err := <-first; err != nil {
+		t.Fatalf("first acquisition: %v", err)
+	}
+}
+
+// TestCancelledRecorderHandsOverToLiveWaiter: when the caller recording a
+// slab is cancelled, a waiter whose own context is live records the slab
+// itself instead of failing with the other caller's cancellation.
+func TestCancelledRecorderHandsOverToLiveWaiter(t *testing.T) {
+	defer faultinject.Disable()
+	spec, _ := workload.ByName("art")
+	const n = 5000 // past the first ctx check of the recording stream
+	want := spec.Record(n)
+	dir := t.TempDir()
+	if _, err := openStore(t, dir).Recording(spec, n); err != nil {
+		t.Fatal(err)
+	}
+	// A truncated slab: the first caller's open sleeps, rejects it and
+	// re-records under its already-cancelled context, which fails.
+	p := slabPath(t, dir)
+	fi, err := os.Stat(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(p, fi.Size()/2); err != nil {
+		t.Fatal(err)
+	}
+	if err := faultinject.Enable("recstore.open=slow:1:200ms"); err != nil {
+		t.Fatal(err)
+	}
+	st := openStore(t, dir)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	first := inFlight(t, st, cancelled, spec, n)
+
+	rec, err := st.RecordingContext(context.Background(), spec, n)
+	if err != nil {
+		t.Fatalf("live waiter = %v, want its own recording", err)
+	}
+	if err := <-first; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled recorder = %v, want context.Canceled", err)
+	}
+	rp, wp := rec.Replay(), want.Replay()
+	var a, b isa.Inst
+	for i := 0; i < n; i++ {
+		rp.Next(&a)
+		wp.Next(&b)
+		if a != b {
+			t.Fatalf("instruction %d differs from a clean recording", i)
+		}
+	}
+}

@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"gals/internal/faultinject"
+	"gals/internal/flight"
 	"gals/internal/workload"
 )
 
@@ -100,22 +101,22 @@ type Stats struct {
 type Store struct {
 	dir string
 
-	mu      sync.Mutex
-	entries map[string]*entry
+	slabs flight.Group[string, *slab]
+	mu    sync.Mutex // guards every slab's refs and released
 
 	mapped, recorded, rerecorded, corrupt, released atomic.Int64
 }
 
-type entry struct {
-	once sync.Once
-	rec  *workload.Recording
+// slab is one acquired recording and its references.
+type slab struct {
+	rec *workload.Recording
 	// mapping is the full mmap (header included) backing rec, nil when the
 	// slab was heap-read instead.
 	mapping []byte
-	err     error
 
-	// refs and released are guarded by Store.mu.
-	refs     int
+	refs int
+	// released marks a slab whose last reference dropped: it is unmapped
+	// and forgotten, and a caller that acquired it just before must remap.
 	released bool
 }
 
@@ -127,7 +128,7 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("recstore: %w", err)
 	}
-	return &Store{dir: dir, entries: make(map[string]*entry)}, nil
+	return &Store{dir: dir}, nil
 }
 
 // Dir returns the store's root directory.
@@ -147,11 +148,7 @@ func (st *Store) Stats() Stats {
 // Live returns the number of slab entries currently cached (each holding a
 // mapping or heap slab with a non-zero reference count, or mid-acquire).
 // Chaos tests assert it reaches zero after every pool retires.
-func (st *Store) Live() int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return len(st.entries)
-}
+func (st *Store) Live() int { return st.slabs.Len() }
 
 // specDigest canonicalizes a spec for identity checks. Spec is plain data,
 // so its JSON encoding is stable.
@@ -278,9 +275,10 @@ func (st *Store) Recording(s workload.Spec, window int64) (*workload.Recording, 
 // RecordingContext is Recording bounded by ctx: a slab that has to be
 // generated observes cancellation while the stream is written (the temp
 // file is removed, nothing lands in the store), and a waiter on another
-// process's in-progress recording stops polling when ctx expires. A
-// cancelled acquisition never poisons the (spec, window): the entry is
-// forgotten and the next request records afresh. It implements
+// caller's in-progress acquisition — in this process or another — stops
+// waiting when ctx expires. A cancelled acquisition never poisons the
+// (spec, window): it is forgotten, and a waiter whose ctx is still live, or
+// the next request, records afresh. It implements
 // workload.ContextBacking; a nil ctx is Recording.
 func (st *Store) RecordingContext(ctx context.Context, s workload.Spec, window int64) (*workload.Recording, error) {
 	if window <= 0 {
@@ -293,36 +291,27 @@ func (st *Store) RecordingContext(ctx context.Context, s workload.Spec, window i
 	k := key(digest, window)
 
 	for {
-		st.mu.Lock()
-		e := st.entries[k]
-		if e == nil {
-			e = &entry{}
-			st.entries[k] = e
-		}
-		st.mu.Unlock()
-
-		e.once.Do(func() { e.rec, e.mapping, e.err = st.acquire(ctx, s, window, digest, k) })
-		if e.err != nil {
-			// A failed acquire (disk hiccup, injected fault) must not
-			// poison the (spec, window) for the process lifetime: forget
-			// the entry so the next Recording call retries from disk.
-			st.mu.Lock()
-			if st.entries[k] == e {
-				delete(st.entries, k)
+		sl, _, err := st.slabs.Do(ctx, k, func(ctx context.Context) (*slab, error) {
+			rec, mapping, err := st.acquire(ctx, s, window, digest, k)
+			if err != nil {
+				return nil, err
 			}
-			st.mu.Unlock()
-			return nil, e.err
+			return &slab{rec: rec, mapping: mapping}, nil
+		})
+		if err != nil {
+			return nil, err
 		}
 		st.mu.Lock()
-		if e.released || st.entries[k] != e {
+		if sl.released {
 			// Raced with a Release that dropped the last reference between
-			// our map lookup and now: remap through a fresh entry.
+			// the acquisition and now: remap through a fresh slab.
 			st.mu.Unlock()
 			continue
 		}
-		e.refs++
+		sl.refs++
+		rec := sl.rec
 		st.mu.Unlock()
-		return e.rec, nil
+		return rec, nil
 	}
 }
 
@@ -340,20 +329,20 @@ func (st *Store) Release(s workload.Spec, window int64) {
 	k := key(digest, window)
 
 	st.mu.Lock()
-	e := st.entries[k]
-	if e == nil || e.refs == 0 {
+	sl, ok := st.slabs.Peek(k)
+	if !ok || sl.refs == 0 {
 		st.mu.Unlock()
 		return
 	}
-	if e.refs--; e.refs > 0 {
+	if sl.refs--; sl.refs > 0 {
 		st.mu.Unlock()
 		return
 	}
-	delete(st.entries, k)
-	e.released = true
-	mapping := e.mapping
-	e.mapping = nil
-	e.rec = nil
+	st.slabs.Forget(k)
+	sl.released = true
+	mapping := sl.mapping
+	sl.mapping = nil
+	sl.rec = nil
 	st.mu.Unlock()
 
 	if mapping != nil {

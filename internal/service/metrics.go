@@ -236,10 +236,6 @@ func (s *Service) initMetrics() {
 		})
 }
 
-// Registry returns the service's metric registry (the collector behind
-// GET /metrics), so embedders and tools can render or extend it.
-func (s *Service) Registry() *metrics.Registry { return s.reg }
-
 // recStats snapshots the recording store's counters, zero when persistence
 // is disabled.
 func (s *Service) recStats() recstore.Stats {

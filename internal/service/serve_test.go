@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -29,5 +30,51 @@ func TestServePanicReleasesFlightKey(t *testing.T) {
 	}
 	if n := s.Stats().DedupHits; n != 0 {
 		t.Fatalf("dedup hits %d, want 0", n)
+	}
+}
+
+// TestCancelledLeaderHandsFlightToLiveJoiner: a request that joined an
+// identical in-flight request, whose own context is still live, does not
+// fail with the context error of the request it joined when that one is
+// cancelled: it runs its own compute and succeeds.
+func TestCancelledLeaderHandsFlightToLiveJoiner(t *testing.T) {
+	s := newTestService(t, Config{Workers: 1})
+	leaderCtx, cancelLeader := context.WithCancel(context.Background())
+	defer cancelLeader()
+	running := make(chan struct{})
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, _, err := serve(s, leaderCtx, 0, "key", func(ctx context.Context) (int, error) {
+			close(running)
+			<-ctx.Done()
+			return 0, ctx.Err()
+		})
+		leaderErr <- err
+	}()
+	<-running
+
+	type result struct {
+		v      int
+		shared bool
+		err    error
+	}
+	joiner := make(chan result, 1)
+	go func() {
+		v, shared, err := serve(s, context.Background(), 0, "key", func(context.Context) (int, error) {
+			return 7, nil
+		})
+		joiner <- result{v, shared, err}
+	}()
+	// Nothing outside the flight group marks the joiner as parked on the
+	// leader's flight; this pause only lets it get there, so the test
+	// exercises the takeover. A joiner that has not arrived by the cancel
+	// leads on its own and passes either way.
+	time.Sleep(50 * time.Millisecond)
+	cancelLeader()
+	if err := <-leaderErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled leader = %v, want context.Canceled", err)
+	}
+	if r := <-joiner; r.err != nil || r.v != 7 || r.shared {
+		t.Fatalf("live joiner = %d, shared %v, err %v; want its own result 7", r.v, r.shared, r.err)
 	}
 }

@@ -40,6 +40,7 @@ import (
 	"gals/internal/core"
 	"gals/internal/experiment"
 	"gals/internal/faultinject"
+	"gals/internal/flight"
 	"gals/internal/metrics"
 	"gals/internal/recstore"
 	"gals/internal/resultcache"
@@ -123,7 +124,7 @@ type Service struct {
 	cache   *resultcache.Cache
 	recs    *recstore.Store
 	pool    *sweep.Pool
-	flight  flightGroup
+	flight  flight.Group[string, any]
 	limiter *rateLimiter
 
 	// env carries cache and recs into every sweep and suite this service
@@ -359,7 +360,11 @@ func (s *Service) Scrub() (ScrubReport, error) {
 //     and timeoutMS, whichever is shorter, and parented on the shutdown
 //     context;
 //   - singleflight: concurrent requests with the same flightKey share one
-//     compute, which runs under the first caller's bounded context;
+//     compute, which runs under the first caller's bounded context. A
+//     joiner waits under its own context; when the compute fails because
+//     its runner's context ended, a joiner whose context is still live runs
+//     its own compute. A finished flight is forgotten, so only in-flight
+//     twins are shared (the persistent cache covers the sequential case);
 //   - containment: a panicking compute becomes a "job panicked" error, so
 //     one malformed request never unwinds a server goroutine, and its
 //     flight still completes instead of wedging the key;
@@ -392,7 +397,7 @@ func serve[R any](s *Service, ctx context.Context, timeoutMS int64, flightKey st
 	// returns instead of being abandoned when the pool closes under it.
 	defer context.AfterFunc(s.shutCtx, cancel)()
 
-	v, err, shared := s.flight.Do(ctx, flightKey, func() (v any, err error) {
+	v, shared, err := s.flight.Do(ctx, flightKey, func(ctx context.Context) (v any, err error) {
 		defer func() {
 			if r := recover(); r != nil {
 				err = fmt.Errorf("service: job panicked: %v", r)
@@ -405,6 +410,8 @@ func serve[R any](s *Service, ctx context.Context, timeoutMS int64, flightKey st
 	}
 	if shared {
 		s.dedups.Add(1)
+	} else {
+		s.flight.Forget(flightKey)
 	}
 	return v.(R), shared, nil
 }
@@ -814,57 +821,49 @@ type BatchItem struct {
 }
 
 // RunBatch executes the requests concurrently (bounded by the worker pool)
-// and returns one item per request, in order. The batch is planned before
-// it runs: items that normalize identically collapse to one simulation
-// (the stragglers copy the representative's result — running them through
-// the singleflight wouldn't help, since a planned batch need not have them
-// in flight simultaneously), and distinct items sharing a benchmark and
-// window replay one recording via the per-window trace pool regardless of
-// which worker runs them.
+// and returns one item per request, in order. Items that normalize to the
+// same cache key share one Run through a per-batch flight group, whether
+// or not they overlap in time, and every such item after the first is
+// marked Deduped (by position, so the flag does not depend on which item's
+// goroutine reaches the group first). Telemetry items keep to their own
+// lane, as in Run. Distinct items sharing a benchmark and window replay one
+// recording via the per-window trace pool regardless of which worker runs
+// them.
 func (s *Service) RunBatch(ctx context.Context, reqs []RunRequest) []BatchItem {
 	out := make([]BatchItem, len(reqs))
-	reps := make(map[string]int) // normalized key -> representative index
-	dups := make([][2]int, 0)    // (duplicate index, representative index)
-	var run []int                // indices that actually execute
+	var batch flight.Group[string, RunResult]
+	seen := make(map[string]bool, len(reqs))
+	var wg sync.WaitGroup
 	for i := range reqs {
 		n, err := reqs[i].normalize()
 		if err != nil {
-			run = append(run, i) // let Run report the error per item
+			out[i].Error = err.Error()
 			continue
 		}
 		key := n.cacheKey()
-		if rep, ok := reps[key]; ok {
-			dups = append(dups, [2]int{i, rep})
-			continue
+		if n.Telemetry {
+			key += "+telemetry"
 		}
-		reps[key] = i
-		run = append(run, i)
-	}
-	var wg sync.WaitGroup
-	for _, i := range run {
+		dup := seen[key]
+		seen[key] = true
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			r, err := s.Run(ctx, reqs[i])
+			r, _, err := batch.Do(ctx, key, func(ctx context.Context) (RunResult, error) {
+				return s.Run(ctx, reqs[i])
+			})
 			if err != nil {
 				out[i].Error = err.Error()
 				return
 			}
+			if dup {
+				r.Deduped = true
+				s.dedups.Add(1)
+			}
 			out[i].Result = &r
-		}(i)
+		}()
 	}
 	wg.Wait()
-	for _, d := range dups {
-		i, rep := d[0], d[1]
-		if out[rep].Result == nil {
-			out[i].Error = out[rep].Error
-			continue
-		}
-		r := *out[rep].Result
-		r.Deduped = true
-		s.dedups.Add(1)
-		out[i].Result = &r
-	}
 	return out
 }
 

@@ -684,3 +684,25 @@ func TestSweepSmallAdaptiveSpace(t *testing.T) {
 		t.Fatalf("warm sweep differs: %+v vs %+v", res2, res)
 	}
 }
+
+// TestRunBatchTelemetryItemKeepsItsLane: a batch holding a plain run and
+// the same run with telemetry gives each its own answer, as two separate
+// requests would get: the telemetry item carries its artifact digest and
+// the plain one none, in either order.
+func TestRunBatchTelemetryItemKeepsItsLane(t *testing.T) {
+	s := newTestService(t, Config{CacheDir: t.TempDir(), Workers: 2})
+	plain := RunRequest{Bench: "gcc", Window: 1_500}
+	tel := plain
+	tel.Telemetry = true
+	for _, reqs := range [][]RunRequest{{plain, tel}, {tel, plain}} {
+		items := s.RunBatch(context.Background(), reqs)
+		for i, it := range items {
+			if it.Result == nil {
+				t.Fatalf("item %d failed: %s", i, it.Error)
+			}
+			if got, want := it.Result.Telemetry != "", reqs[i].Telemetry; got != want || it.Result.Deduped {
+				t.Fatalf("item %d (telemetry %v): digest %q, deduped %v", i, want, it.Result.Telemetry, it.Result.Deduped)
+			}
+		}
+	}
+}

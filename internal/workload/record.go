@@ -18,6 +18,7 @@ import (
 	"reflect"
 	"sync"
 
+	"gals/internal/flight"
 	"gals/internal/isa"
 )
 
@@ -212,14 +213,12 @@ type ContextBacking interface {
 type Pool struct {
 	window  int64
 	backing Backing
-	mu      sync.Mutex
-	recs    map[string]*poolEntry
+	recs    flight.Group[string, pooled]
 }
 
-type poolEntry struct {
-	done   chan struct{} // closed once rec/err is settled
+// pooled is one benchmark's shared recording.
+type pooled struct {
 	rec    *Recording
-	err    error
 	backed bool // the recording came from (and is refcounted by) the backing
 }
 
@@ -235,7 +234,7 @@ func NewBackedPool(window int64, b Backing) *Pool {
 	if window <= 0 {
 		panic(fmt.Sprintf("workload: non-positive pool window %d", window))
 	}
-	return &Pool{window: window, backing: b, recs: make(map[string]*poolEntry)}
+	return &Pool{window: window, backing: b}
 }
 
 // Window returns the recording length the pool was created with.
@@ -268,50 +267,17 @@ func (p *Pool) Get(s Spec) *Recording {
 // A cancelled capture never poisons the pool — the entry is forgotten and
 // the next requester records afresh. A nil ctx is Get.
 func (p *Pool) GetContext(ctx context.Context, s Spec) (*Recording, error) {
-	for {
-		p.mu.Lock()
-		e := p.recs[s.Name]
-		if e == nil {
-			// Leader: capture outside the pool lock, then settle the entry.
-			e = &poolEntry{done: make(chan struct{})}
-			p.recs[s.Name] = e
-			p.mu.Unlock()
-			rec, backed, err := p.capture(ctx, s)
-			p.mu.Lock()
-			if err != nil {
-				if p.recs[s.Name] == e {
-					delete(p.recs, s.Name)
-				}
-				e.err = err
-				close(e.done)
-				p.mu.Unlock()
-				return nil, err
-			}
-			e.rec, e.backed = rec, backed
-			close(e.done)
-			p.mu.Unlock()
-		} else {
-			p.mu.Unlock()
-			if ctx != nil {
-				select {
-				case <-e.done:
-				case <-ctx.Done():
-					return nil, ctx.Err()
-				}
-			} else {
-				<-e.done
-			}
-			if e.err != nil {
-				// The leader's capture was cancelled (its deadline, not
-				// ours) and the entry forgotten: take over as leader.
-				continue
-			}
-		}
-		if !reflect.DeepEqual(e.rec.spec, s) {
-			return s.RecordContext(ctx, p.window)
-		}
-		return e.rec, nil
+	e, _, err := p.recs.Do(ctx, s.Name, func(ctx context.Context) (pooled, error) {
+		rec, backed, err := p.capture(ctx, s)
+		return pooled{rec, backed}, err
+	})
+	if err != nil {
+		return nil, err
 	}
+	if !reflect.DeepEqual(e.rec.spec, s) {
+		return s.RecordContext(ctx, p.window)
+	}
+	return e.rec, nil
 }
 
 // capture obtains one recording for s: from the backing when available (and
@@ -348,16 +314,9 @@ func (p *Pool) Retire() {
 	if p == nil {
 		return
 	}
-	p.mu.Lock()
-	recs := p.recs
-	p.recs = make(map[string]*poolEntry)
-	p.mu.Unlock()
 	rel, ok := p.backing.(Releaser)
-	if !ok {
-		return
-	}
-	for _, e := range recs {
-		if e.backed && e.rec != nil {
+	for _, e := range p.recs.Reset() {
+		if ok && e.backed {
 			rel.Release(e.rec.spec, p.window)
 		}
 	}
@@ -368,7 +327,5 @@ func (p *Pool) Size() int {
 	if p == nil {
 		return 0
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.recs)
+	return p.recs.Len()
 }
