@@ -38,8 +38,8 @@ type Options struct {
 	// JitterFrac enables per-edge clock jitter.
 	JitterFrac float64
 	// Exec optionally routes the pipeline's simulation cells to a shared
-	// work-stealing pool (the service installs its own, so suite work and
-	// single runs share one parallelism bound). Result-neutral: excluded
+	// cell pool (the service installs its own, so suite work and single
+	// runs share one parallelism bound). Result-neutral: excluded
 	// from the memo and every cache key.
 	Exec *sweep.Pool `json:"-"`
 	// Priority orders the pipeline's cells on that pool. Result-neutral.

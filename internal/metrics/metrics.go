@@ -11,7 +11,7 @@
 // side, where a registry snapshot is read perhaps once per second.
 //
 // Metrics whose source of truth already exists as an atomic counter
-// elsewhere (the pool's steal counts, the result cache's hit counts) are
+// elsewhere (the pool's cell counts, the result cache's hit counts) are
 // exported as *Func variants that read the authoritative value at scrape
 // time — zero new cost on the owning code path, and the JSON stats
 // surface and /metrics can never disagree.
@@ -275,7 +275,7 @@ func (f *funcMetric) collect() []Sample                  { return f.fn() }
 
 // NewCounterFunc registers a counter whose value is read at scrape time —
 // the bridge for code paths that already keep an authoritative atomic
-// counter (pool steals, cache hits): zero new cost where events happen.
+// counter (pool cell counts, cache hits): zero new cost where events happen.
 func (r *Registry) NewCounterFunc(name, help string, fn func() float64) {
 	r.add(&funcMetric{name: name, help: help, typ: "counter",
 		fn: func() []Sample { return []Sample{{Value: fn()}} }})

@@ -42,3 +42,44 @@ func TestServiceKeysPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestRunICacheSpellingsShareKey: an adaptive I-cache name is matched
+// case-insensitively, so its spellings name one machine and must share one
+// cache key (otherwise each spelling is simulated and stored again).
+func TestRunICacheSpellingsShareKey(t *testing.T) {
+	for _, mode := range []string{"program", "phase"} {
+		var keys []string
+		for _, name := range []string{"16k1W", "16K1w", "16K1W"} {
+			n, err := RunRequest{Bench: "em3d", Mode: mode, ICache: name, Window: 1_500}.normalize()
+			if err != nil {
+				t.Fatalf("%s %q: %v", mode, name, err)
+			}
+			keys = append(keys, n.cacheKey())
+		}
+		if keys[0] != keys[1] || keys[0] != keys[2] {
+			t.Errorf("%s: spellings of one I-cache got distinct keys %v", mode, keys)
+		}
+	}
+}
+
+// TestSweepQuickSharesKeyOffSyncSpace: Quick prunes only the sync space, so
+// on the other spaces it names the same sweep and must not split its key.
+func TestSweepQuickSharesKeyOffSyncSpace(t *testing.T) {
+	key := func(r SweepRequest) string {
+		n, err := r.normalize()
+		if err != nil {
+			t.Fatalf("%+v: %v", r, err)
+		}
+		return n.cacheKey()
+	}
+	for _, space := range []string{"adaptive", "phase"} {
+		plain := key(SweepRequest{Space: space, Bench: "gcc", Window: 2_000})
+		quick := key(SweepRequest{Space: space, Bench: "gcc", Window: 2_000, Quick: true})
+		if plain != quick {
+			t.Errorf("%s: quick and plain sweeps got distinct keys %s and %s", space, quick, plain)
+		}
+	}
+	if key(SweepRequest{Space: "sync", Quick: true}) == key(SweepRequest{Space: "sync"}) {
+		t.Error("sync: quick and full sweeps share a key")
+	}
+}

@@ -18,7 +18,7 @@ import (
 //     cell-execution histogram) observed on the request path — each
 //     observation is a handful of lock-free atomic ops.
 //   - Func-backed metrics whose source of truth is an atomic counter that
-//     already exists (the pool's steal counts, the cache's hit counts, the
+//     already exists (the pool's cell counts, the cache's hit counts, the
 //     simulator-boundary totals): read at scrape time, zero new cost where
 //     the events happen, and /metrics can never disagree with /v1/stats.
 func (s *Service) initMetrics() {
@@ -61,12 +61,6 @@ func (s *Service) initMetrics() {
 	r.NewCounterFunc("gals_pool_cells_purged_total",
 		"Queued cells removed unrun when their request was cancelled.",
 		func() float64 { return float64(s.pool.Purged()) })
-	r.NewCounterFunc("gals_pool_steals_total",
-		"Work-stealing events between workers.",
-		func() float64 { return float64(s.pool.Steals()) })
-	r.NewCounterFunc("gals_pool_stolen_cells_total",
-		"Cells moved between workers by stealing.",
-		func() float64 { return float64(s.pool.StolenCells()) })
 
 	// Request dedup and computation counters owned by the service and the
 	// compute layers.

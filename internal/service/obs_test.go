@@ -130,8 +130,6 @@ func TestMetricsMatchStats(t *testing.T) {
 		{"gals_pool_cells_completed_total", st.Completed},
 		{"gals_pool_cells_rejected_total", st.Rejected},
 		{"gals_pool_cells_purged_total", st.Purged},
-		{"gals_pool_steals_total", st.Steals},
-		{"gals_pool_stolen_cells_total", st.StolenCells},
 		{"gals_http_rate_limited_total", st.RateLimited},
 		{"gals_dedup_hits_total", st.DedupHits},
 		{"gals_simulations_total", st.Simulations},

@@ -14,7 +14,7 @@ const (
 	PriorityHigh   Priority = 10
 )
 
-// Scheduling errors, surfaced from the shared work-stealing pool
+// Scheduling errors, surfaced from the shared cell pool
 // (internal/sweep): the service schedules every request — single runs,
 // batches, sweeps, suite pipelines — as cells on one bounded pool, so these
 // are the only overload signals. HTTP maps both to 503.

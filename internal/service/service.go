@@ -1,11 +1,10 @@
 // Package service is the concurrent simulation service behind cmd/galsd:
 // every request — single runs, batches, design-space sweeps, whole suite
 // pipelines — is decomposed into simulation cells executed on one shared
-// bounded work-stealing pool (internal/sweep), with singleflight
-// deduplication of identical concurrent requests, a persistent
-// content-addressed result cache (internal/resultcache) and an mmap-backed
-// recording store (internal/recstore) shared with the experiment and sweep
-// layers.
+// bounded cell pool (internal/sweep), with singleflight deduplication of
+// identical concurrent requests, a persistent content-addressed result
+// cache (internal/resultcache) and an mmap-backed recording store
+// (internal/recstore) shared with the experiment and sweep layers.
 //
 // The paper's evaluation burned ~300 CPU-months exploring this design
 // space; the service's job is to make sure no configuration point is ever
@@ -532,8 +531,14 @@ func (r RunRequest) normalize() (RunRequest, error) {
 	if err := checkRanges(r.Window, r.JitterFrac, r.PLLScale, r.TimeoutMS); err != nil {
 		return r, err
 	}
-	if _, _, err := r.machine(); err != nil {
+	_, cfg, err := r.machine()
+	if err != nil {
 		return r, err
+	}
+	// An adaptive I-cache name matches case-insensitively; store its
+	// canonical spelling so every spelling shares one key.
+	if r.Mode != "sync" && r.ICache != "" {
+		r.ICache = cfg.ICache.String()
 	}
 	return r, nil
 }
@@ -793,7 +798,7 @@ func (s *Service) Run(ctx context.Context, req RunRequest) (RunResult, error) {
 			}
 		}
 		cellSpan := tr.Start("cell", n.Bench)
-		if err := s.pool.ExecuteContext(ctx, n.Priority, [][]func(){{cell}}); err != nil {
+		if err := s.pool.ExecuteContext(ctx, n.Priority, []func(){cell}); err != nil {
 			cellSpan.End()
 			return RunResult{}, err
 		}
@@ -930,6 +935,9 @@ func (r SweepRequest) normalize() (SweepRequest, error) {
 		}
 	default:
 		return r, fmt.Errorf("service: unknown sweep space %q (want sync, adaptive or phase)", r.Space)
+	}
+	if r.Space != "sync" {
+		r.Quick = false // it prunes only the sync space
 	}
 	if r.Bench != "" {
 		if _, ok := workload.ByName(r.Bench); !ok {
@@ -1212,10 +1220,6 @@ type Stats struct {
 	Completed int64 `json:"completed"`
 	Rejected  int64 `json:"rejected"`
 	Purged    int64 `json:"purged"`
-	// Steals counts work-stealing events between workers; StolenCells the
-	// cells they moved.
-	Steals      int64 `json:"steals"`
-	StolenCells int64 `json:"stolen_cells"`
 	// RateLimited counts requests refused with 429 by admission control.
 	RateLimited int64 `json:"rate_limited"`
 	// Simulations counts single-run simulations this service executed
@@ -1268,8 +1272,6 @@ func (s *Service) Stats() Stats {
 		Completed:          s.pool.Completed(),
 		Rejected:           s.pool.Rejected(),
 		Purged:             s.pool.Purged(),
-		Steals:             s.pool.Steals(),
-		StolenCells:        s.pool.StolenCells(),
 		RateLimited:        s.rateLimited.Value(),
 		Simulations:        s.sims.Load(),
 		DedupHits:          s.dedups.Load(),

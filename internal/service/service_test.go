@@ -227,7 +227,7 @@ func TestSharedPoolBoundsMixedLoad(t *testing.T) {
 	const workers = 3
 	s := newTestService(t, Config{CacheDir: t.TempDir(), Workers: workers})
 
-	// Sample the in-flight gauge while the load runs: the work-stealing
+	// Sample the in-flight gauge while the load runs: the shared cell
 	// pool is the only execution path, so it can never exceed workers.
 	stop := make(chan struct{})
 	var maxInFlight atomic.Int64
@@ -382,7 +382,7 @@ func dirSize(t *testing.T, dir string) int64 {
 // the PR-2 scheduler test pinned, now via the shared pool).
 func TestPoolSurvivesPanickingCellThroughService(t *testing.T) {
 	s := newTestService(t, Config{Workers: 1})
-	if err := s.pool.Execute(PriorityNormal, [][]func(){{func() { panic("boom") }}}); err == nil ||
+	if err := s.pool.ExecuteContext(context.Background(), PriorityNormal, []func(){func() { panic("boom") }}); err == nil ||
 		!strings.Contains(err.Error(), "boom") {
 		t.Fatalf("panicking cell returned %v, want wrapped panic", err)
 	}
@@ -464,10 +464,10 @@ func TestQueueFullSurfacesAs503(t *testing.T) {
 	gate := make(chan struct{})
 	defer func() { close(gate) }()
 	started := make(chan struct{})
-	go s.pool.Execute(PriorityNormal, [][]func(){{func() { close(started); <-gate }}})
+	go s.pool.ExecuteContext(context.Background(), PriorityNormal, []func(){func() { close(started); <-gate }})
 	<-started
 	// Worker occupied; fill the 1-cell queue, then overflow it.
-	go s.pool.Execute(PriorityNormal, [][]func(){{func() {}}})
+	go s.pool.ExecuteContext(context.Background(), PriorityNormal, []func(){func() {}})
 	deadline := time.Now().Add(5 * time.Second)
 	for s.pool.Pending() != 1 {
 		if time.Now().After(deadline) {

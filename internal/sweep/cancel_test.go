@@ -38,7 +38,7 @@ func TestPoolCancelPurgesQueuedCells(t *testing.T) {
 		cells[i] = func() { ran.Add(1) }
 	}
 	done := make(chan error, 1)
-	go func() { done <- p.ExecuteContext(ctx, 0, [][]func(){cells}) }()
+	go func() { done <- p.ExecuteContext(ctx, 0, cells) }()
 	waitPending(t, p, 16) // the blocker cell is running, not pending
 
 	cancel()
@@ -63,8 +63,8 @@ func TestPoolCancelPurgesQueuedCells(t *testing.T) {
 	}
 	// The pool must still execute new work after a purge.
 	var after atomic.Int64
-	if err := p.Execute(0, [][]func(){{func() { after.Add(1) }}}); err != nil {
-		t.Fatalf("Execute after purge: %v", err)
+	if err := execute(p, 0, func() { after.Add(1) }); err != nil {
+		t.Fatalf("ExecuteContext after purge: %v", err)
 	}
 	if after.Load() != 1 {
 		t.Fatal("cell after purge did not run")
@@ -84,7 +84,7 @@ func TestPoolCancelWaitsForRunningCells(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		done <- p.ExecuteContext(ctx, 0, [][]func(){{func() { close(started); <-gate }}})
+		done <- p.ExecuteContext(ctx, 0, []func(){func() { close(started); <-gate }})
 	}()
 	<-started
 
@@ -112,7 +112,7 @@ func TestPoolCancelLeaksNoGoroutines(t *testing.T) {
 		if i%2 == 0 {
 			cancel() // half the batches are cancelled before submission
 		}
-		p.ExecuteContext(ctx, 0, [][]func(){{func() {}, func() {}}})
+		p.ExecuteContext(ctx, 0, []func(){func() {}, func() {}})
 		cancel()
 	}
 	p.Close()

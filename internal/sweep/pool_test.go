@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"sync"
@@ -9,12 +10,17 @@ import (
 	"time"
 )
 
+// execute runs a batch under a context that is never cancelled.
+func execute(p *Pool, pri int, cells ...func()) error {
+	return p.ExecuteContext(context.Background(), pri, cells)
+}
+
 // execAsync submits a single-cell batch from its own goroutine and returns
-// a done channel (Execute blocks until the cell ran).
+// a done channel (ExecuteContext blocks until the cell ran).
 func execAsync(t *testing.T, p *Pool, pri int, fn func()) chan error {
 	t.Helper()
 	done := make(chan error, 1)
-	go func() { done <- p.Execute(pri, [][]func(){{fn}}) }()
+	go func() { done <- execute(p, pri, fn) }()
 	return done
 }
 
@@ -29,10 +35,10 @@ func waitPending(t *testing.T, p *Pool, want int) {
 	}
 }
 
-// TestPoolPriorityAndBackpressure ports the PR-2 scheduler contract to the
-// work-stealing pool: with one occupied worker, queued single-cell batches
-// run highest-priority first (FIFO within a priority), and cells beyond the
-// depth bound are rejected with ErrQueueFull.
+// TestPoolPriorityAndBackpressure pins the scheduler contract: with one
+// occupied worker, queued single-cell batches run highest-priority first
+// (FIFO within a priority), and cells beyond the depth bound are rejected
+// with ErrQueueFull.
 func TestPoolPriorityAndBackpressure(t *testing.T) {
 	p := NewPool(1, 4)
 	defer p.Close()
@@ -59,7 +65,7 @@ func TestPoolPriorityAndBackpressure(t *testing.T) {
 	enqueue("normal-2", 0)
 
 	// The queue is at its bound of 4 now.
-	if err := p.Execute(10, [][]func(){{func() {}}}); err != ErrQueueFull {
+	if err := execute(p, 10, func() {}); err != ErrQueueFull {
 		t.Fatalf("over-bound submit returned %v, want ErrQueueFull", err)
 	}
 	if p.Rejected() != 1 {
@@ -87,31 +93,30 @@ func TestPoolSurvivesPanickingCell(t *testing.T) {
 	p := NewPool(1, 8)
 	defer p.Close()
 
-	err := p.Execute(0, [][]func(){{func() { panic("boom") }}})
+	err := execute(p, 0, func() { panic("boom") })
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("panicking cell returned %v, want wrapped panic", err)
 	}
 	ran := false
-	if err := p.Execute(0, [][]func(){{func() { ran = true }}}); err != nil || !ran {
+	if err := execute(p, 0, func() { ran = true }); err != nil || !ran {
 		t.Fatalf("worker dead after panic: err=%v ran=%v", err, ran)
 	}
 	// The other cells of a batch with one panicking cell still run.
 	count := 0
 	var mu sync.Mutex
-	err = p.Execute(0, [][]func(){{
+	err = execute(p, 0,
 		func() { mu.Lock(); count++; mu.Unlock() },
 		func() { panic("mid") },
 		func() { mu.Lock(); count++; mu.Unlock() },
-	}})
+	)
 	if err == nil || count != 2 {
 		t.Fatalf("batch with panic: err=%v, %d/2 healthy cells ran", err, count)
 	}
 }
 
-// TestPoolStealsAcrossWorkers: a batch submitted as one group lands on one
-// worker's deque, but with several workers idle it still finishes with
-// multi-worker parallelism — idle workers steal from the loaded deque.
-func TestPoolStealsAcrossWorkers(t *testing.T) {
+// TestPoolOneBatchSpreadsAcrossWorkers: with several workers idle, the
+// cells of one batch run on all of them at once.
+func TestPoolOneBatchSpreadsAcrossWorkers(t *testing.T) {
 	const workers = 4
 	p := NewPool(workers, 0)
 	defer p.Close()
@@ -120,7 +125,7 @@ func TestPoolStealsAcrossWorkers(t *testing.T) {
 	seen := map[chan struct{}]bool{}
 	barrier := make(chan struct{})
 	// Each cell parks until `workers` cells are running at once — possible
-	// only if stealing spreads one group over all workers.
+	// only if the batch's cells go to every worker.
 	running := make(chan struct{}, workers)
 	cells := make([]func(), workers)
 	for i := range cells {
@@ -137,14 +142,14 @@ func TestPoolStealsAcrossWorkers(t *testing.T) {
 		}
 	}
 	done := make(chan error, 1)
-	go func() { done <- p.Execute(0, [][]func(){cells}) }()
+	go func() { done <- execute(p, 0, cells...) }()
 	select {
 	case err := <-done:
 		if err != nil {
 			t.Fatal(err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("one-group batch never spread across workers (stealing broken)")
+		t.Fatal("one batch never spread across workers")
 	}
 }
 
@@ -160,7 +165,7 @@ func TestPoolIdleAdmitsOversizedBatch(t *testing.T) {
 	for i := range cells {
 		cells[i] = func() { n.Add(1) }
 	}
-	if err := p.Execute(0, [][]func(){cells}); err != nil {
+	if err := execute(p, 0, cells...); err != nil {
 		t.Fatalf("idle pool rejected a 10-cell batch with depth 3: %v", err)
 	}
 	if n.Load() != 10 {
@@ -168,18 +173,19 @@ func TestPoolIdleAdmitsOversizedBatch(t *testing.T) {
 	}
 }
 
-// TestPoolClosedRejects: Execute after Close fails with ErrClosed.
+// TestPoolClosedRejects: ExecuteContext after Close fails with ErrClosed.
 func TestPoolClosedRejects(t *testing.T) {
 	p := NewPool(1, 4)
 	p.Close()
-	if err := p.Execute(0, [][]func(){{func() {}}}); err != ErrClosed {
-		t.Fatalf("Execute after Close = %v, want ErrClosed", err)
+	if err := execute(p, 0, func() {}); err != ErrClosed {
+		t.Fatalf("ExecuteContext after Close = %v, want ErrClosed", err)
 	}
 }
 
 // TestPoolHigherPriorityPreemptsQueuedGroup: a high-priority single cell
-// submitted after a large low-priority group overtakes the group's queued
-// remainder (it cannot preempt the cell already running).
+// submitted after a large low-priority batch overtakes the batch's queued
+// remainder (it cannot preempt the cell already running), and the
+// remainder then runs in order.
 func TestPoolHigherPriorityPreemptsQueuedGroup(t *testing.T) {
 	p := NewPool(1, 0)
 	defer p.Close()
@@ -203,8 +209,8 @@ func TestPoolHigherPriorityPreemptsQueuedGroup(t *testing.T) {
 		}
 	}
 	lowDone := make(chan error, 1)
-	go func() { lowDone <- p.Execute(0, [][]func(){low}) }()
-	<-first // low group admitted, first cell is running
+	go func() { lowDone <- execute(p, 0, low...) }()
+	<-first // the low batch's first cell is running
 
 	hiDone := execAsync(t, p, 10, func() {
 		mu.Lock()
@@ -220,83 +226,71 @@ func TestPoolHigherPriorityPreemptsQueuedGroup(t *testing.T) {
 	if err := <-lowDone; err != nil {
 		t.Fatal(err)
 	}
-	if len(order) != 7 || order[1] != "HIGH" {
-		t.Fatalf("high-priority cell did not preempt the queued group: %v", order)
+	want := []string{"a", "HIGH", "b", "c", "d", "e", "f"}
+	if !reflect.DeepEqual(order, want) {
+		t.Fatalf("execution order %v, want %v", order, want)
 	}
 }
 
-// TestPoolBatchStealAmortizesLockTraffic: under fine-grained load (one big
-// group of tiny cells), Cilk-style half-deque stealing migrates cells in
-// batches, so the lock acquisitions spent stealing stay far below the
-// number of cells that changed workers. The pre-batch design took exactly
-// one acquisition per stolen cell (StolenCells == Steals); the batch design
-// must amortize by a wide factor. The group's first cell holds the
-// admitting worker until half the cells have run elsewhere, so the test
-// never depends on the other workers waking before that worker drains
-// the whole group alone.
-func TestPoolBatchStealAmortizesLockTraffic(t *testing.T) {
-	const workers = 4
-	const cells = 4096
-	p := NewPool(workers, 0)
+// TestPoolCancelRemovesQueuedBatch: cancelling a batch that sits inside
+// the queue, not at its top, removes exactly that batch's cells and keeps
+// the order of the rest — the higher-priority batch first, then the older
+// batch of the cancelled one's priority.
+func TestPoolCancelRemovesQueuedBatch(t *testing.T) {
+	p := NewPool(1, 0)
 	defer p.Close()
 
-	var ran atomic.Int64
-	half := make(chan struct{})
-	count := func() {
-		if ran.Add(1) == cells/2 {
-			close(half)
-		}
-	}
-	group := make([]func(), cells)
-	for i := range group {
-		group[i] = count
-	}
-	// The admitting worker pops the front cell in the same lock hold that
-	// puts the group on its deque, and thieves take from the back, so
-	// group[0] always runs first, on the admitting worker.
-	group[0] = func() {
-		select {
-		case <-half:
-		case <-time.After(10 * time.Second):
-			t.Error("no other worker ran the held worker's cells within 10s")
-		}
-		count()
-	}
-	// One group: every cell lands on the admitting worker's deque, so all
-	// other workers' work arrives exclusively by stealing.
-	if err := p.Execute(0, [][]func(){group}); err != nil {
-		t.Fatal(err)
-	}
-	if ran.Load() != cells {
-		t.Fatalf("ran %d cells, want %d", ran.Load(), cells)
-	}
-	steals, stolen := p.Steals(), p.StolenCells()
-	if stolen < cells/2 {
-		t.Fatalf("%d cells migrated while the admitting worker was held, want >= %d", stolen, cells/2)
-	}
-	if steals > stolen/4 {
-		t.Errorf("%d steal lock acquisitions for %d migrated cells: batch steal should amortize >= 4x (single-cell stealing would need %d)",
-			steals, stolen, stolen)
-	}
-	t.Logf("steals=%d stolen=%d (%.1f cells per steal acquisition)", steals, stolen, float64(stolen)/float64(steals))
-}
+	gate := make(chan struct{})
+	started := make(chan struct{})
+	blocker := execAsync(t, p, 0, func() { close(started); <-gate })
+	<-started // the single worker is held; everything below queues
 
-// TestPoolStealPreservesOrderWithinBatch: a thief runs its stolen half in
-// the original submission order (recording locality depends on it).
-func TestPoolStealPreservesOrderWithinBatch(t *testing.T) {
-	d := &deque{}
-	v := &deque{}
-	for i := 0; i < 7; i++ {
-		i := i
-		v.buf = append(v.buf, cell{pri: 0, run: func() { _ = i }})
+	var mu sync.Mutex
+	var order []string
+	batchOf := func(name string, n int) []func() {
+		cells := make([]func(), n)
+		for i := range cells {
+			cells[i] = func() {
+				mu.Lock()
+				order = append(order, name)
+				mu.Unlock()
+			}
+		}
+		return cells
 	}
-	n := d.stealHalfFrom(v)
-	if n != 4 || d.size() != 4 || v.size() != 3 {
-		t.Fatalf("stole %d cells (thief %d, victim %d), want 4/4/3", n, d.size(), v.size())
+	submit := func(ctx context.Context, pri int, cells []func()) chan error {
+		done := make(chan error, 1)
+		go func() { done <- p.ExecuteContext(ctx, pri, cells) }()
+		return done
 	}
-	// Victim keeps its front; nothing lost or duplicated.
-	total := d.size() + v.size()
-	if total != 7 {
-		t.Fatalf("cells lost in steal: %d", total)
+	aDone := submit(context.Background(), 0, batchOf("A", 2))
+	waitPending(t, p, 2)
+	ctxB, cancelB := context.WithCancel(context.Background())
+	defer cancelB()
+	bDone := submit(ctxB, 0, batchOf("B", 3))
+	waitPending(t, p, 5)
+	cDone := submit(context.Background(), 5, batchOf("C", 4))
+	waitPending(t, p, 9)
+
+	cancelB()
+	if err := <-bDone; err != context.Canceled {
+		t.Fatalf("cancelled batch returned %v, want context.Canceled", err)
+	}
+	if got := p.Pending(); got != 6 {
+		t.Fatalf("Pending() = %d after cancelling B, want 6", got)
+	}
+	if got := p.Purged(); got != 3 {
+		t.Fatalf("Purged() = %d, want 3", got)
+	}
+
+	close(gate)
+	for _, d := range []chan error{blocker, aDone, cDone} {
+		if err := <-d; err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []string{"C", "C", "C", "C", "A", "A"}
+	if !reflect.DeepEqual(order, want) {
+		t.Fatalf("execution order %v, want %v", order, want)
 	}
 }

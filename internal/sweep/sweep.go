@@ -7,9 +7,9 @@
 //
 // Every run replays the same deterministic trace per benchmark, so
 // configuration comparisons are exact. A sweep is decomposed into one cell
-// per (configuration, benchmark) pair executed on a shared work-stealing
-// pool (see pool.go); the paper burned 300 CPU-months on this, we burn a
-// few CPU-minutes at scaled-down windows. At paper-scale windows, use
+// per (configuration, benchmark) pair executed on a shared cell pool (see
+// pool.go); the paper burned 300 CPU-months on this, we burn a few
+// CPU-minutes at scaled-down windows. At paper-scale windows, use
 // MeasureSummary (streaming aggregation, O(configs + benchmarks) memory)
 // with a recording store in Options.Env, so the traces are mmap'd files
 // rather than heap. The Phase-Adaptive stage (MeasurePhase) runs through
@@ -309,34 +309,31 @@ func CrossPhaseSpace(policies []PolicySetting, bases []core.Config) []core.Confi
 	return out
 }
 
-// cellChunk bounds the cells per submitted group, so a queued
-// higher-priority request is admitted after at most a chunk's worth of one
-// worker's backlog.
-const cellChunk = 64
-
 // runCells executes one simulation cell per (configuration, benchmark)
 // pair on the sweep's executor and streams each cell's result into sink.
 // sink is called from worker goroutines: calls for distinct (ci, si) pairs
 // may be concurrent, and each pair is delivered exactly once. A non-nil
-// skip filters cells at group-build time — a skipped cell is never queued
-// and never delivered; the checkpoint-resume path uses it to elide work a
+// skip filters cells at build time — a skipped cell is never queued and
+// never delivered; the checkpoint-resume path uses it to elide work a
 // previous run already completed.
 //
-// Groups are config-major: one group is one configuration's cells across
-// the benchmarks, in benchmark order. That is what lets the streaming
-// accumulator close a config's row as soon as its group drains (O(workers)
-// rows in flight) instead of holding every row open until the last
-// benchmark completes. Recording sharing is unaffected — the trace pool
-// hands every cell the same slab regardless of which group asked first —
-// and thieves batch-stealing a group's far half touch its later benchmarks
-// (in order), so concurrent cold-start recording still spreads across
-// workers.
+// The cells are submitted as one config-major batch: one configuration's
+// cells across the benchmarks, in benchmark order, then the next
+// configuration's. The pool hands them out in that order, consecutive
+// cells to different workers, so configurations finish roughly in order
+// and the streaming accumulator closes each row soon after it starts
+// (O(workers) rows in flight) instead of holding every row open until the
+// last benchmark completes. Recording sharing is unaffected — the trace
+// pool hands every cell the same slab regardless of which cell asked
+// first — and the first cells handed out are distinct benchmarks, so
+// concurrent cold-start recording spreads across workers.
 func runCells(specs []workload.Spec, cfgs []core.Config, o Options, skip func(ci, si int) bool, sink func(ci, si int, res *core.Result)) error {
 	// Replay the caller's trace pool when it covers the window, otherwise a
 	// private one (backed by Env.Recordings, if any). The private pool is
 	// retired once the cells finish, returning any store-backed slab
-	// references instead of accumulating mappings across windows; Execute
-	// returns only after every cell finished, so no replay is live then.
+	// references instead of accumulating mappings across windows;
+	// ExecuteContext returns only after every cell finished, so no replay
+	// is live then.
 	pool := o.Traces
 	if pool.Window() < o.Window {
 		pool = o.Env.Pool(o.Window)
@@ -361,58 +358,46 @@ func runCells(specs []workload.Spec, cfgs []core.Config, o Options, skip func(ci
 	// The measure stage span parents every cell span; with a nil tracer
 	// every span call below is a no-op.
 	stage := o.Tracer.Start("measure", fmt.Sprintf("%d configs x %d benchmarks", len(cfgs), len(specs)))
-	groups := make([][]func(), 0, len(cfgs)*(len(specs)/cellChunk+1))
+	cells := make([]func(), 0, len(cfgs)*len(specs))
 	for ci := range cfgs {
-		ci := ci
-		for start := 0; start < len(specs); start += cellChunk {
-			end := start + cellChunk
-			if end > len(specs) {
-				end = len(specs)
+		for si := range specs {
+			if skip != nil && skip(ci, si) {
+				continue
 			}
-			cells := make([]func(), 0, end-start)
-			for si := start; si < end; si++ {
-				si := si
-				if skip != nil && skip(ci, si) {
-					continue
+			cells = append(cells, func() {
+				// Only render the config label when a trace is live:
+				// an untraced cell must not pay a per-cell allocation.
+				var cellSpan metrics.Span
+				if o.Tracer != nil {
+					cellSpan = stage.Child("cell", cfgs[ci].Label()+" / "+specs[si].Name)
 				}
-				cells = append(cells, func() {
-					// Only render the config label when a trace is live:
-					// an untraced cell must not pay a per-cell allocation.
-					var cellSpan metrics.Span
-					if o.Tracer != nil {
-						cellSpan = stage.Child("cell", cfgs[ci].Label()+" / "+specs[si].Name)
-					}
-					recSpan := cellSpan.Child("record", specs[si].Name)
-					rec, err := pool.GetContext(ctx, specs[si])
-					recSpan.End()
-					if err != nil {
-						cellSpan.End()
-						return // cancelled mid-recording: deliver nothing
-					}
-					// A nil-Done ctx takes core's uninstrumented fast
-					// path, so ctx-less sweeps cost exactly what they
-					// did; a cancelled cell delivers nothing.
-					simSpan := cellSpan.Child("replay+measure", "")
-					res, err := core.NewMachineSource(rec.Replay(), o.apply(cfgs[ci])).RunWith(ctx, o.Window, core.RunOptions{})
-					simSpan.End()
-					if err != nil {
-						cellSpan.End()
-						return
-					}
-					if o.Tracer != nil {
-						cellSpan.Annotate(fmt.Sprintf("%s / %s: %d reconfigs",
-							cfgs[ci].Label(), specs[si].Name, res.Stats.Reconfigs))
-					}
+				recSpan := cellSpan.Child("record", specs[si].Name)
+				rec, err := pool.GetContext(ctx, specs[si])
+				recSpan.End()
+				if err != nil {
 					cellSpan.End()
-					sink(ci, si, res)
-				})
-			}
-			if len(cells) > 0 {
-				groups = append(groups, cells)
-			}
+					return // cancelled mid-recording: deliver nothing
+				}
+				// A nil-Done ctx takes core's uninstrumented fast
+				// path, so ctx-less sweeps cost exactly what they
+				// did; a cancelled cell delivers nothing.
+				simSpan := cellSpan.Child("replay+measure", "")
+				res, err := core.NewMachineSource(rec.Replay(), o.apply(cfgs[ci])).RunWith(ctx, o.Window, core.RunOptions{})
+				simSpan.End()
+				if err != nil {
+					cellSpan.End()
+					return
+				}
+				if o.Tracer != nil {
+					cellSpan.Annotate(fmt.Sprintf("%s / %s: %d reconfigs",
+						cfgs[ci].Label(), specs[si].Name, res.Stats.Reconfigs))
+				}
+				cellSpan.End()
+				sink(ci, si, res)
+			})
 		}
 	}
-	err := exec.ExecuteContext(ctx, o.Priority, groups)
+	err := exec.ExecuteContext(ctx, o.Priority, cells)
 	stage.End()
 	return err
 }
@@ -447,7 +432,7 @@ type Summary struct {
 
 // summaryAcc folds completed cells into a Summary. A config's row buffer
 // lives only while its cells are outstanding; with runCells's config-major
-// groups that is O(workers) rows at a time, not the full matrix.
+// cell order that is O(workers) rows at a time, not the full matrix.
 type summaryAcc struct {
 	mu    sync.Mutex
 	specs int
