@@ -100,9 +100,47 @@ func TestPoolCancelWaitsForRunningCells(t *testing.T) {
 	}
 }
 
+// TestPoolCancelRacesCellReturn cancels single-cell batches whose cell
+// returns on the same ctx, the shape of every galsd /v1/run whose request
+// times out: the cell's WaitGroup.Done and the purge started by the
+// cancellation run at the same moment. The purge finds the batch already
+// out of the queue and must not touch the WaitGroup, or the WaitGroup's
+// misuse check can panic a worker (run under -race to widen the window).
+func TestPoolCancelRacesCellReturn(t *testing.T) {
+	p := NewPool(2, 64)
+	defer p.Close()
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				ctx, cancel := context.WithCancel(context.Background())
+				started := make(chan struct{})
+				done := make(chan error, 1)
+				go func() {
+					done <- p.ExecuteContext(ctx, 0, []func(){func() { close(started); <-ctx.Done() }})
+				}()
+				<-started
+				cancel()
+				if err := <-done; !errors.Is(err, context.Canceled) {
+					t.Errorf("ExecuteContext = %v, want context.Canceled", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := p.Purged(); got != 0 {
+		t.Fatalf("Purged = %d, want 0: every cancelled cell was already running", got)
+	}
+}
+
 // TestPoolCancelLeaksNoGoroutines drives many cancelled batches and checks
-// the goroutine count settles back: the per-batch watcher must exit on
-// completion as well as on cancellation.
+// the goroutine count settles back: each batch's context.AfterFunc
+// registration must be released (stop) when the batch completes, and a
+// purge started by a cancellation must not outlive it for long.
 func TestPoolCancelLeaksNoGoroutines(t *testing.T) {
 	p := NewPool(2, 256)
 	before := runtime.NumGoroutine()

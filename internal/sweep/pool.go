@@ -208,6 +208,7 @@ func (p *Pool) work() {
 		}
 		b := p.queue[0]
 		fn := b.cells[b.next]
+		b.cells[b.next] = nil // a taken closure need not outlive its run
 		b.next++
 		if b.next == len(b.cells) {
 			heap.Pop(&p.queue)
@@ -239,7 +240,8 @@ func (p *Pool) work() {
 // return early. ExecuteContext always waits for its running cells before
 // returning, so caller-owned resources (trace pools, accumulators) are
 // safe to tear down as soon as it returns; the return is ctx.Err() when
-// the batch was cut short. It must not be called from inside a cell (the
+// the batch was cut short. The pool takes over cells: each entry is set to
+// nil once a worker has it. It must not be called from inside a cell (the
 // nested batch could wait forever for the worker it is occupying).
 func (p *Pool) ExecuteContext(ctx context.Context, pri int, cells []func()) error {
 	if ctx == nil {
@@ -286,16 +288,20 @@ func (p *Pool) ExecuteContext(ctx context.Context, pri int, cells []func()) erro
 
 // purge removes the batch's queued cells, discharging their WaitGroup
 // slots so ExecuteContext's wait ends as soon as the batch's running cells
-// drain.
+// drain. A batch already out of the queue has nothing to discharge, and
+// purge must then leave the WaitGroup alone: it runs on its own goroutine,
+// and even an Add(0) racing the last cell's Done and the Wait can trip
+// the WaitGroup's misuse check.
 func (p *Pool) purge(b *batch) {
 	b.cancelled.Store(true)
 	p.mu.Lock()
-	removed := 0
-	if b.index >= 0 {
-		removed = len(b.cells) - b.next
-		heap.Remove(&p.queue, b.index)
-		p.pending -= removed
+	if b.index < 0 {
+		p.mu.Unlock()
+		return
 	}
+	removed := len(b.cells) - b.next
+	heap.Remove(&p.queue, b.index)
+	p.pending -= removed
 	p.mu.Unlock()
 	p.purged.Add(int64(removed))
 	b.wg.Add(-removed)
