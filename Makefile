@@ -10,7 +10,7 @@ BENCHOUT  ?= BENCH_latest.txt
 MEMWINDOW ?= 60000
 MEMCACHE  ?= /tmp/gals-bench-mem-cache
 
-.PHONY: all build test test-short race vet allocs parity determinism chaos crash fuzz obs bench bench-json bench-suite bench-mem bench-smoke bench-e2e-smoke loc ci
+.PHONY: all build test test-short race vet allocs inline parity determinism chaos crash fuzz obs bench bench-json bench-suite bench-mem bench-smoke bench-e2e-smoke loc ci
 
 all: build
 
@@ -36,6 +36,23 @@ vet:
 # organization). Run without -race so the counts are the release build's.
 allocs:
 	$(GO) test -run 'Allocs' ./internal/core/ .
+
+# Inlining gate (also a CI step): the timing model's hot clock queries test
+# (*Clock).OnEdge inline and call the clock's methods only off its fast
+# path, which pays only while the compiler inlines OnEdge. Fails if OnEdge
+# is not inlinable, or if no OnEdge call is inlined into step, execCompute
+# or addrGen (internal/core/pipeline.go). The compiler's -m report names
+# only line numbers, so each function's lines are read from its source.
+inline:
+	@out=$$($(GO) build -gcflags=-m ./internal/clock ./internal/core 2>&1) || { echo "$$out" >&2; exit 1; }; \
+	echo "$$out" | grep -q 'can inline (\*Clock).OnEdge' || { echo "inline: (*Clock).OnEdge is not inlinable" >&2; exit 1; }; \
+	for f in step execCompute addrGen; do \
+		echo "$$out" | awk -v fn=$$f ' \
+			FNR == NR { if ($$0 ~ "^func \\(m \\*Machine\\) " fn "\\(") a = FNR; else if (a && !b && $$0 == "}") b = FNR; next } \
+			/inlining call to clock\.\(\*Clock\)\.OnEdge/ { split($$0, p, ":"); if (p[1] == "internal/core/pipeline.go" && p[2] >= a && p[2] <= b) n++ } \
+			END { if (!n) { print "inline: (*Clock).OnEdge is not inlined into " fn > "/dev/stderr"; exit 1 } print "inline: " fn ": " n " OnEdge calls inlined" }' \
+			internal/core/pipeline.go - || exit 1; \
+	done
 
 # Policy-parity gate (also a CI step): the "paper" adaptation policy must
 # stay bit-identical to the pre-extraction machine — golden reconfiguration
@@ -64,15 +81,17 @@ chaos:
 crash:
 	$(GO) test -race -run 'Crash|Resume|Scrub' ./...
 
-# Fuzz gate (also five CI steps): FuzzClockEdges checks the clock's
-# division-free edge arithmetic against a plain / and % reference over
-# random epoch sequences; FuzzSweepCheckpoint and FuzzPhaseCheckpoint
+# Fuzz gate (also six CI steps): FuzzClockEdges checks the clock's
+# division-free edge arithmetic and the on-edge test the timing model
+# inlines against a plain / and % reference over random epoch sequences;
+# FuzzSweepCheckpoint and FuzzPhaseCheckpoint
 # decode arbitrary bytes as a MeasureSummary or MeasurePhase checkpoint and
 # check that restore never panics and that an accepted checkpoint completes
 # to a well-formed summary or a result for every benchmark;
-# FuzzRunRequestNormalize and FuzzSweepRequestNormalize decode arbitrary
-# bytes as a /v1/run or /v1/sweep body and check that normalization either
-# fails or reaches a fixed point with a stable cache key. `go test ./...`
+# FuzzRunRequestNormalize, FuzzSweepRequestNormalize and
+# FuzzSuiteRequestNormalize decode arbitrary bytes as a /v1/run, /v1/sweep
+# or /v1/suite body and check that normalization either fails or reaches a
+# fixed point with a stable cache key. `go test ./...`
 # replays only their seed corpora (testdata/fuzz in each package); this
 # target mutates new inputs for 15 s each.
 fuzz:
@@ -81,6 +100,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzPhaseCheckpoint -fuzztime 15s ./internal/sweep
 	$(GO) test -run '^$$' -fuzz FuzzRunRequestNormalize -fuzztime 15s ./internal/service
 	$(GO) test -run '^$$' -fuzz FuzzSweepRequestNormalize -fuzztime 15s ./internal/service
+	$(GO) test -run '^$$' -fuzz FuzzSuiteRequestNormalize -fuzztime 15s ./internal/service
 
 # Observability smoke (also a CI job): build galsd + galsload, then have
 # galsload launch the daemon, drive a short mixed closed loop against it,
@@ -140,4 +160,4 @@ bench-e2e-smoke:
 loc:
 	@git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^bench/' | xargs cat | wc -l
 
-ci: build vet allocs race fuzz bench-smoke bench-e2e-smoke
+ci: build vet allocs inline race fuzz bench-smoke bench-e2e-smoke

@@ -6,12 +6,18 @@ import (
 	"gals/internal/timing"
 )
 
+// edgeSink keeps a benchmark's final edge alive.
+var edgeSink timing.FS
+
 // BenchmarkClockEdge times the jitter-free edge queries the timing model
 // makes several times per simulated instruction. Each query's input
 // depends on the previous result, so ns/op is a query's latency.
 //
 //   - on-grid: After(t, 1) from an edge, as most queries of a synchronous
 //     run are;
+//   - inline-on-grid: the same query in the timing model's call-site form,
+//     an inlined OnEdge test and t + CurrentPeriod(), with After only as
+//     the fallback;
 //   - off-grid: EdgeAtOrAfter from between two edges;
 //   - pre-lock-epoch: After from between two edges of a historical epoch,
 //     as a Phase-Adaptive machine queries between a reconfiguration
@@ -25,6 +31,20 @@ func BenchmarkClockEdge(b *testing.B) {
 		for b.Loop() {
 			t = c.After(t, 1)
 		}
+	})
+	b.Run("inline-on-grid", func(b *testing.B) {
+		c := New(FrontEnd, fe, 1, 0)
+		t := timing.FS(0)
+		// A b.Loop body keeps its calls out of line, so this loop counts
+		// b.N itself and keeps its result in edgeSink.
+		for range b.N {
+			if c.OnEdge(t) {
+				t += c.CurrentPeriod()
+			} else {
+				t = c.After(t, 1)
+			}
+		}
+		edgeSink = t
 	})
 	b.Run("off-grid", func(b *testing.B) {
 		c := New(FrontEnd, fe, 1, 0)

@@ -65,13 +65,17 @@ type epoch struct {
 	start  timing.FS // time of edge 0 of this epoch
 	period timing.FS
 	base   uint64 // global edge index of edge 0 (for jitter hashing)
-	// mag is floor((2^64-1)/period). It is both the multiply-high
-	// reciprocal of divmod and the bound of onGrid's divisibility test.
+	// mag is floor((2^64-1)/period), the multiply-high reciprocal of
+	// divmod.
 	mag uint64
-	// inv is the inverse modulo 2^64 of the period's odd part, and shift
-	// the period's trailing zero count (period = odd << shift).
-	inv   uint64
-	shift int
+	// inv is the inverse modulo 2^64 of the period's odd part, and rot
+	// minus the period's trailing zero count: period = odd << -rot, and
+	// RotateLeft64(x, rot) rotates x right by -rot.
+	inv uint64
+	rot int
+	// edges is floor((2^63-1)/period), the bound of onGrid's divisibility
+	// test: the largest quotient of a multiple of period below 2^63.
+	edges uint64
 }
 
 // newEpoch returns the epoch starting at start with the given period and
@@ -85,11 +89,14 @@ type epoch struct {
 // & Montgomery, "Division by Invariant Integers using Multiplication", PLDI
 // 1994).
 //
-// inv: p = odd << shift with odd odd, so odd is a unit modulo 2^64. x = odd
-// is its inverse to 3 bits (odd*odd = 1 mod 8), and each Newton step
-// x *= 2 - odd*x doubles the correct bits: 3, 6, 12, 24, 48, 96 after five.
-// d is a multiple of p exactly when rotr(d*inv, shift) <= mag (Hacker's
-// Delight, 2nd ed., section 10-17).
+// inv and rot: p = odd << shift with odd odd and rot = -shift. odd is a unit
+// modulo 2^64; x = odd is its inverse to 3 bits (odd*odd = 1 mod 8), and
+// each Newton step x *= 2 - odd*x doubles the correct bits: 3, 6, 12, 24,
+// 48, 96 after five. A d in [0, 2^64) is a multiple of p exactly when
+// rotr(d*inv, shift) <= floor((2^64-1)/p), and rotr(d*inv, shift) is then
+// d/p (Hacker's Delight, 2nd ed., section 10-17). Bounding it by edges =
+// floor((2^63-1)/p) instead also rejects every multiple of p at or above
+// 2^63.
 func newEpoch(start, period timing.FS, base uint64) epoch {
 	p := uint64(period)
 	shift := bits.TrailingZeros64(p)
@@ -98,12 +105,12 @@ func newEpoch(start, period timing.FS, base uint64) epoch {
 	for range 5 {
 		inv *= 2 - odd*inv
 	}
-	return epoch{start: start, period: period, base: base, mag: math.MaxUint64 / p, inv: inv, shift: shift}
+	return epoch{start: start, period: period, base: base, mag: math.MaxUint64 / p, inv: inv, rot: -shift, edges: math.MaxInt64 / p}
 }
 
-// onGrid reports whether d is a multiple of the period.
+// onGrid reports whether d is a multiple of the period below 2^63.
 func (e *epoch) onGrid(d uint64) bool {
-	return bits.RotateLeft64(d*e.inv, -e.shift) <= e.mag
+	return bits.RotateLeft64(d*e.inv, e.rot) <= e.edges
 }
 
 // divmod returns d / period and d % period, exactly for 0 <= d < 2^63.
@@ -238,6 +245,18 @@ func (c *Clock) edgeTime(e *epoch, n uint64) timing.FS {
 	return t + c.jitter(e.base+n, e.period)
 }
 
+// OnEdge reports whether t is an edge of a jitter-free clock's final epoch,
+// at or after that epoch's start. Then EdgeAtOrAfter(t) is t, NextEdge(t) is
+// t + CurrentPeriod() and After(t, n) is t + n*CurrentPeriod() for n >= 0, so
+// a hot caller tests OnEdge inline, computes those sums itself and calls the
+// methods only when it fails. It is one subtract, multiply, rotate and
+// compare: a t before fastStart (a pre-lock time, or any time of a jittered
+// clock, whose fastStart is neverFast) wraps to at least 2^63, which onGrid
+// rejects with every off-grid time.
+func (c *Clock) OnEdge(t timing.FS) bool {
+	return c.final.onGrid(uint64(t - c.fastStart))
+}
+
 // EdgeAtOrAfter returns the time of the first clock edge at or after t.
 // With jitter disabled (the default) this is division-free integer
 // arithmetic: no hash, no probe loop, and — in the common case of t at or
@@ -291,7 +310,7 @@ func (c *Clock) edgeAtOrAfterSlow(t timing.FS) timing.FS {
 // on an edge of the final epoch, as most are, costs only the on-grid test;
 // every other t goes to nextEdgeRare.
 func (c *Clock) NextEdge(t timing.FS) timing.FS {
-	if t >= c.fastStart && c.final.onGrid(uint64(t-c.final.start)) {
+	if c.OnEdge(t) {
 		return t + c.final.period
 	}
 	return c.nextEdgeRare(t)
@@ -321,7 +340,7 @@ func (c *Clock) nextEdgeRare(t timing.FS) timing.FS {
 // start on an edge of the final epoch, as most are, costs only the on-grid
 // test; every other start goes to afterRare.
 func (c *Clock) After(t timing.FS, n int) timing.FS {
-	if n >= 0 && t >= c.fastStart && c.final.onGrid(uint64(t-c.final.start)) {
+	if n >= 0 && c.OnEdge(t) {
 		return t + timing.FS(n)*c.final.period
 	}
 	return c.afterRare(t, n)

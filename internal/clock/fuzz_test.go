@@ -162,10 +162,12 @@ func (in *fuzzBytes) cycles() int {
 
 // FuzzClockEdges builds two jitter-free clocks from random epoch sequences
 // (SetPeriodAt with model, odd, power-of-two and arbitrary periods) and
-// checks EdgeAtOrAfter, NextEdge, After, Sync and SyncPath.Sync against
-// refClock at query times up to 2^60 fs: around every epoch boundary,
-// inside every epoch, on the edges of every epoch's grid and at random,
-// both while the epochs are being added and once they are all in place.
+// checks EdgeAtOrAfter, NextEdge, After, OnEdge, Sync and SyncPath.Sync
+// against refClock at query times up to 2^60 fs: around every epoch
+// boundary, inside every epoch, on the edges of every epoch's grid and at
+// random, both while the epochs are being added and once they are all in
+// place. A jittered clock that takes the first clock's reconfigurations
+// must never report OnEdge.
 func FuzzClockEdges(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 4, 3, 0, 8, 1, 1, 12})
@@ -185,6 +187,7 @@ func checkClockEdges(t *testing.T, in *fuzzBytes) {
 		refs[i] = newRefClock(p)
 	}
 	paths := [2]*SyncPath{NewSyncPath(clocks[0], clocks[1]), NewSyncPath(clocks[1], clocks[0])}
+	jittered := New(Domain(2), refs[0].periods[0], 1, 0.01)
 
 	check := func(tq timing.FS, n int) {
 		t.Helper()
@@ -205,6 +208,23 @@ func checkClockEdges(t *testing.T, in *fuzzBytes) {
 			if got, want := c.Period(tq), r.period(tq); got != want {
 				t.Fatalf("clock %d Period(%d) = %d, want %d", i, tq, got, want)
 			}
+			// OnEdge holds exactly on the final epoch's grid, where the
+			// inline sums of the timing model's call sites must agree
+			// with After and NextEdge.
+			k := len(r.starts) - 1
+			s, p := r.starts[k], r.periods[k]
+			onEdge := tq >= s && (tq-s)%p == 0
+			if got := c.OnEdge(tq); got != onEdge {
+				t.Fatalf("clock %d OnEdge(%d) = %v, want %v (epochs %v %v)", i, tq, got, onEdge, r.starts, r.periods)
+			}
+			if onEdge {
+				if got, want := tq+timing.FS(n)*c.CurrentPeriod(), c.After(tq, n); got != want {
+					t.Fatalf("clock %d on edge %d: t+%d*period = %d, After = %d", i, tq, n, got, want)
+				}
+				if got, want := tq+c.CurrentPeriod(), c.NextEdge(tq); got != want {
+					t.Fatalf("clock %d on edge %d: t+period = %d, NextEdge = %d", i, tq, got, want)
+				}
+			}
 			other := 1 - i
 			want := refSync(refs[i], refs[other], tq)
 			if got := Sync(c, clocks[other], tq); got != want {
@@ -213,6 +233,9 @@ func checkClockEdges(t *testing.T, in *fuzzBytes) {
 			if got := paths[i].Sync(tq); got != want {
 				t.Fatalf("SyncPath(%d -> %d).Sync(%d) = %d, want %d", i, other, tq, got, want)
 			}
+		}
+		if jittered.OnEdge(tq) {
+			t.Fatalf("jittered clock OnEdge(%d) = true", tq)
 		}
 	}
 	probe := func(r *refClock, k int) {
@@ -248,6 +271,11 @@ func checkClockEdges(t *testing.T, in *fuzzBytes) {
 		p := in.period()
 		clocks[i].SetPeriodAt(at, p)
 		refs[i].setPeriodAt(at, p)
+		// A jittered clock's first edge at or after its epoch's start can
+		// precede it, which SetPeriodAt rejects.
+		if i == 0 && at > jittered.final.start {
+			jittered.SetPeriodAt(at, p)
+		}
 		probe(refs[i], len(refs[i].starts)-1)
 		check(timing.FS(in.u64()%(1<<60)), in.cycles())
 	}

@@ -138,6 +138,14 @@ func (m *Machine) l2Timed(cls cache.Class, t timing.FS) timing.FS {
 }
 
 // step advances the machine by one dynamic instruction.
+//
+// Nearly every clock query here and in the exec functions starts at an edge
+// of its clock's final epoch, so each site computes its edges as sums of
+// CurrentPeriod and calls the Clock methods, which the compiler cannot
+// inline, only when the inlined Clock.OnEdge test fails (`make inline`).
+// Queue crossings (clock.Align) make no such test: in a multiple-clock-domain
+// run their times come from another clock and almost never lie on the
+// consumer's grid.
 func (m *Machine) step(in *isa.Inst) {
 	fe := m.clocks[clock.FrontEnd]
 	m.applyPending()
@@ -149,7 +157,10 @@ func (m *Machine) step(in *isa.Inst) {
 	if line != m.curLine || m.lineLeft == 0 {
 		start := maxFS(m.nextLineAt, m.minFetch)
 		start = maxFS(start, m.fetchQ.floor(FetchQueueEntries))
-		start = fe.EdgeAtOrAfter(start)
+		// The group is ready n cycles after start. The next line may start
+		// a cycle after start unless the access keeps the cache busy until
+		// the group is ready.
+		n, busy, miss := 1, false, false // same line: line buffer hit
 		if line != m.curLine {
 			aLat, bLat := m.icacheLatencies()
 			var icls cache.Class
@@ -161,24 +172,29 @@ func (m *Machine) step(in *isa.Inst) {
 			switch icls {
 			case cache.AHit:
 				m.stats.ICacheA++
-				m.groupReady = fe.After(start, aLat)
-				m.nextLineAt = fe.NextEdge(start) // pipelined hit path
+				n = aLat // pipelined hit path
 			case cache.BHit:
 				m.stats.ICacheB++
-				m.groupReady = fe.After(start, aLat+bLat)
-				m.nextLineAt = m.groupReady // cache busy during B access
+				n, busy = aLat+bLat, true // cache busy during B access
 			default:
 				m.stats.ICacheMiss++
 				// Miss-under-probe: B probe overlaps the L2 request.
-				req := m.syncPaths[clock.FrontEnd][clock.LoadStore].Sync(fe.After(start, aLat))
-				done := m.l2AccessI(in.PC&^uint64(L2LineBytes-1), req)
-				m.groupReady = fe.EdgeAtOrAfter(m.syncPaths[clock.LoadStore][clock.FrontEnd].Sync(done))
-				m.nextLineAt = m.groupReady
+				n, busy, miss = aLat, true, true
 			}
-		} else {
-			// Same line, next decode group: line buffer hit.
-			m.groupReady = fe.After(start, 1)
-			m.nextLineAt = fe.NextEdge(start)
+		}
+		p := fe.CurrentPeriod()
+		m.groupReady, m.nextLineAt = start+timing.FS(n)*p, start+p
+		if !fe.OnEdge(start) {
+			start = fe.EdgeAtOrAfter(start)
+			m.groupReady, m.nextLineAt = fe.After(start, n), fe.NextEdge(start)
+		}
+		if miss {
+			req := m.syncPaths[clock.FrontEnd][clock.LoadStore].Sync(m.groupReady)
+			done := m.l2AccessI(in.PC&^uint64(L2LineBytes-1), req)
+			m.groupReady = fe.EdgeAtOrAfter(m.syncPaths[clock.LoadStore][clock.FrontEnd].Sync(done))
+		}
+		if busy {
+			m.nextLineAt = m.groupReady
 		}
 		m.curLine = line
 		m.lineLeft = DecodeWidth
@@ -188,9 +204,12 @@ func (m *Machine) step(in *isa.Inst) {
 
 	// ------------------------------------------------------------------
 	// Rename / dispatch (front-end domain, in order).
-	rn := fe.After(fetch, frontDepth)
+	dec, p := m.fetchQ.floor(DecodeWidth), fe.CurrentPeriod()
+	rn := maxFS(fetch+frontDepth*p, dec+p)
+	if !fe.OnEdge(fetch) || !fe.OnEdge(dec) {
+		rn = maxFS(fe.After(fetch, frontDepth), fe.NextEdge(dec))
+	}
 	rn = maxFS(rn, m.lastRename)
-	rn = maxFS(rn, fe.NextEdge(m.fetchQ.floor(DecodeWidth)))
 	rn = maxFS(rn, m.rob.floor(ROBEntries))
 	if in.Dest.Valid() {
 		if in.Dest.IsFP() {
@@ -208,7 +227,9 @@ func (m *Machine) step(in *isa.Inst) {
 	if in.Class.IsMem() {
 		rn = maxFS(rn, m.lsq.floor(LSQEntries))
 	}
-	rn = fe.EdgeAtOrAfter(rn)
+	if !fe.OnEdge(rn) {
+		rn = fe.EdgeAtOrAfter(rn)
+	}
 	m.lastRename = rn
 	m.fetchQ.push(rn)
 
@@ -263,8 +284,12 @@ func (m *Machine) step(in *isa.Inst) {
 	// ------------------------------------------------------------------
 	// Commit (in order, retire width per front-end cycle).
 	c := maxFS(clock.Align(m.clocks[execDomain], fe, complete), m.lastCommit)
-	c = maxFS(c, fe.NextEdge(m.rob.floor(RetireWidth)))
-	c = fe.After(c, 1)
+	if ret := m.rob.floor(RetireWidth); fe.OnEdge(ret) && fe.OnEdge(c) {
+		p := fe.CurrentPeriod()
+		c = maxFS(c, ret+p) + p
+	} else {
+		c = fe.After(maxFS(c, fe.NextEdge(ret)), 1)
+	}
 	m.lastCommit = c
 	m.rob.push(c)
 	if in.Class.IsMem() {
@@ -305,7 +330,10 @@ func (m *Machine) execCompute(in *isa.Inst, dom clock.Domain) timing.FS {
 	ck := m.clocks[dom]
 	enter := clock.Align(fe, ck, m.lastRename) // queue write: sync hidden
 
-	ready := ck.After(enter, 1) // wakeup
+	ready := enter + ck.CurrentPeriod() // wakeup
+	if !ck.OnEdge(enter) {
+		ready = ck.After(enter, 1)
+	}
 	ready = maxFS(ready, m.srcReady(in.Src1, dom))
 	ready = maxFS(ready, m.srcReady(in.Src2, dom))
 
@@ -317,8 +345,11 @@ func (m *Machine) execCompute(in *isa.Inst, dom clock.Domain) timing.FS {
 		qWin, alu, mul = &m.intQ, m.intFU, m.intMul
 		ready = maxFS(ready, m.minIntIssue)
 	}
-	ready = maxFS(ready, ck.NextEdge(qWin.floor(IssueWidth)))
-	ready = ck.EdgeAtOrAfter(ready)
+	if q := qWin.floor(IssueWidth); ck.OnEdge(q) && ck.OnEdge(ready) {
+		ready = maxFS(ready, q+ck.CurrentPeriod())
+	} else {
+		ready = ck.EdgeAtOrAfter(maxFS(ready, ck.NextEdge(q)))
+	}
 
 	pool := alu
 	switch in.Class {
@@ -331,9 +362,14 @@ func (m *Machine) execCompute(in *isa.Inst, dom clock.Domain) timing.FS {
 		occupancy = 1
 	}
 	u, start := pool.take(ready)
-	pool.avail[u] = ck.After(start, occupancy)
 	qWin.push(start)
-	return ck.After(start, lat)
+	p := ck.CurrentPeriod()
+	free, done := start+timing.FS(occupancy)*p, start+timing.FS(lat)*p
+	if !ck.OnEdge(start) {
+		free, done = ck.After(start, occupancy), ck.After(start, lat)
+	}
+	pool.avail[u] = free
+	return done
 }
 
 // resolveBranch checks the prediction and charges the mispredict penalty.
@@ -367,8 +403,11 @@ func (m *Machine) execLoad(in *isa.Inst) timing.FS {
 	agDone := m.addrGen(in)
 	ls := m.clocks[clock.LoadStore]
 	req := clock.Align(m.clocks[clock.Integer], ls, agDone) // LSQ insert: sync hidden
-	req = maxFS(req, ls.NextEdge(m.dports.floor(DCachePorts)))
-	req = ls.EdgeAtOrAfter(req)
+	if q := m.dports.floor(DCachePorts); ls.OnEdge(q) && ls.OnEdge(req) {
+		req = maxFS(req, q+ls.CurrentPeriod())
+	} else {
+		req = ls.EdgeAtOrAfter(maxFS(req, ls.NextEdge(q)))
+	}
 	m.dports.push(req)
 
 	m.memSeq++
@@ -381,24 +420,30 @@ func (m *Machine) execLoad(in *isa.Inst) timing.FS {
 	}
 
 	l1A, l1B, _, _ := m.dcacheLatencies()
-	var done timing.FS
 	var dcls cache.Class
 	if p := m.fs; p != nil {
 		dcls = p.classD()
 	} else {
 		dcls = m.dcache.Access(in.Addr, false)
 	}
+	// The access completes, or a miss goes to L2, n cycles after req.
+	n := l1A
 	switch dcls {
 	case cache.AHit:
 		m.stats.DCacheA++
-		done = ls.After(req, l1A)
 	case cache.BHit:
 		m.stats.DCacheB++
-		done = ls.After(req, l1A+l1B)
+		n += l1B
 	default:
 		m.stats.DCacheMiss++
+	}
+	done := req + timing.FS(n)*ls.CurrentPeriod()
+	if !ls.OnEdge(req) {
+		done = ls.After(req, n)
+	}
+	if dcls == cache.Miss {
 		// Miss-under-probe: B probe overlaps the L2 request.
-		done = m.l2AccessD(in.Addr, ls.After(req, l1A), false)
+		done = m.l2AccessD(in.Addr, done, false)
 	}
 	if fwd != 0 && fwd < done {
 		done = fwd
@@ -444,19 +489,29 @@ func (m *Machine) addrGen(in *isa.Inst) timing.FS {
 	fe := m.clocks[clock.FrontEnd]
 	ck := m.clocks[clock.Integer]
 	enter := clock.Align(fe, ck, m.lastRename) // queue write: sync hidden
-	ready := ck.After(enter, 1)
+	ready := enter + ck.CurrentPeriod()
+	if !ck.OnEdge(enter) {
+		ready = ck.After(enter, 1)
+	}
 	base := in.Src1
 	if in.Class == isa.Store {
 		base = in.Src2
 	}
 	ready = maxFS(ready, m.srcReady(base, clock.Integer))
 	ready = maxFS(ready, m.minIntIssue)
-	ready = maxFS(ready, ck.NextEdge(m.intQ.floor(IssueWidth)))
-	ready = ck.EdgeAtOrAfter(ready)
+	if q := m.intQ.floor(IssueWidth); ck.OnEdge(q) && ck.OnEdge(ready) {
+		ready = maxFS(ready, q+ck.CurrentPeriod())
+	} else {
+		ready = ck.EdgeAtOrAfter(maxFS(ready, ck.NextEdge(q)))
+	}
 	u, start := m.intFU.take(ready)
-	m.intFU.avail[u] = ck.After(start, 1)
 	m.intQ.push(start)
-	return ck.After(start, 1)
+	done := start + ck.CurrentPeriod()
+	if !ck.OnEdge(start) {
+		done = ck.After(start, 1)
+	}
+	m.intFU.avail[u] = done
+	return done
 }
 
 func storeHash(dword uint64) int {

@@ -67,3 +67,29 @@ func FuzzSweepRequestNormalize(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSuiteRequestNormalize is FuzzRunRequestNormalize for /v1/suite
+// bodies: every input either fails or normalizes to a fixed point whose
+// cache key is the request's own, and never panics.
+func FuzzSuiteRequestNormalize(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req SuiteRequest
+		if !decodeBody(body, &req) {
+			return
+		}
+		n, err := req.normalize()
+		if err != nil {
+			return
+		}
+		again, err := n.normalize()
+		if err != nil {
+			t.Fatalf("normalized request %+v fails normalization: %v", n, err)
+		}
+		if !reflect.DeepEqual(again, n) {
+			t.Fatalf("normalization is not idempotent:\n%+v\n%+v", n, again)
+		}
+		if n.cacheKey() != req.cacheKey() || again.cacheKey() != n.cacheKey() {
+			t.Fatalf("key moved under normalization: %s, %s, %s", req.cacheKey(), n.cacheKey(), again.cacheKey())
+		}
+	})
+}

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"testing"
 
 	"gals/internal/sweep"
@@ -59,6 +60,41 @@ func TestRunICacheSpellingsShareKey(t *testing.T) {
 		if keys[0] != keys[1] || keys[0] != keys[2] {
 			t.Errorf("%s: spellings of one I-cache got distinct keys %v", mode, keys)
 		}
+	}
+}
+
+// TestRunPaperPolicySharesKey: an empty policy selects the paper
+// controllers, so naming them must share the default's cache key and its
+// one simulation.
+func TestRunPaperPolicySharesKey(t *testing.T) {
+	plain := RunRequest{Bench: "em3d", Window: 1_500}
+	named := plain
+	named.Policy = "paper"
+	np, err := plain.normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	nn, err := named.normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if np.cacheKey() != nn.cacheKey() {
+		t.Fatalf("policy \"paper\" keyed %s, default %s", nn.cacheKey(), np.cacheKey())
+	}
+	s := newTestService(t, Config{CacheDir: t.TempDir(), Workers: 1})
+	first, err := s.Run(context.Background(), plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := s.Run(context.Background(), named)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !second.Cached || second.TimeFS != first.TimeFS {
+		t.Errorf("policy \"paper\" run %+v, want the default's cached result", second)
+	}
+	if got := s.Stats().Simulations; got != 1 {
+		t.Errorf("%d simulations, want 1", got)
 	}
 }
 

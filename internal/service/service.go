@@ -540,6 +540,11 @@ func (r RunRequest) normalize() (RunRequest, error) {
 	if r.Mode != "sync" && r.ICache != "" {
 		r.ICache = cfg.ICache.String()
 	}
+	// An empty policy selects the paper controllers, so naming them
+	// without params or artifact shares the default's key.
+	if r.Policy == control.DefaultPolicy && r.PolicyParams == "" && r.PolicyBlob == "" {
+		r.Policy = ""
+	}
 	return r, nil
 }
 
@@ -1073,18 +1078,22 @@ type SuiteRequest struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
-// validate rejects parameter values the simulator would panic on or
-// produce garbage from; the zero value of every field is valid (defaults).
-func (r SuiteRequest) validate() error {
+// normalize rejects parameter values the simulator would panic on or
+// produce garbage from (the zero value of every field is valid) and
+// resolves the defaults options applies, so the normalized request has the
+// same key.
+func (r SuiteRequest) normalize() (SuiteRequest, error) {
 	if err := checkRanges(r.Window, r.JitterFrac, r.PLLScale, r.TimeoutMS); err != nil {
-		return err
+		return r, err
 	}
 	if r.Policy != "" || r.PolicyParams != "" || r.PolicyBlob != "" {
 		if err := control.ValidateSelection(r.Policy, r.PolicyParams, r.PolicyBlob); err != nil {
-			return fmt.Errorf("service: %w", err)
+			return r, fmt.Errorf("service: %w", err)
 		}
 	}
-	return nil
+	o := r.options()
+	r.Window, r.PLLScale, r.Seed = o.Window, o.PLLScale, o.Seed
+	return r, nil
 }
 
 func (r SuiteRequest) options() experiment.Options {
@@ -1151,7 +1160,8 @@ type SuiteSummary struct {
 // pipeline behind Figure 6, Table 9 and Figure 7. The pipeline's cells run
 // on the service's shared pool at the request's priority.
 func (s *Service) Suite(ctx context.Context, req SuiteRequest) (SuiteSummary, error) {
-	if err := req.validate(); err != nil {
+	req, err := req.normalize()
+	if err != nil {
 		return SuiteSummary{}, err
 	}
 	out, shared, err := serve(s, ctx, req.TimeoutMS, req.cacheKey(), func(ctx context.Context) (SuiteSummary, error) {
@@ -1192,7 +1202,8 @@ func (s *Service) Experiment(ctx context.Context, req ExperimentRequest) (*exper
 	if req.ID == "" {
 		return nil, fmt.Errorf("service: missing experiment id")
 	}
-	if err := req.validate(); err != nil {
+	var err error
+	if req.SuiteRequest, err = req.normalize(); err != nil {
 		return nil, err
 	}
 	key := resultcache.Key("experimentreq", struct {
