@@ -10,7 +10,7 @@ BENCHOUT  ?= BENCH_latest.txt
 MEMWINDOW ?= 60000
 MEMCACHE  ?= /tmp/gals-bench-mem-cache
 
-.PHONY: all build test test-short race vet allocs inline parity determinism chaos crash fuzz obs bench bench-json bench-suite bench-mem bench-smoke bench-e2e-smoke loc ci
+.PHONY: all build test test-short race vet allocs inline deadcode parity determinism chaos crash fuzz obs bench bench-json bench-suite bench-mem bench-smoke bench-e2e-smoke loc ci
 
 all: build
 
@@ -53,6 +53,15 @@ inline:
 			END { if (!n) { print "inline: (*Clock).OnEdge is not inlined into " fn > "/dev/stderr"; exit 1 } print "inline: " fn ": " n " OnEdge calls inlined" }' \
 			internal/core/pipeline.go - || exit 1; \
 	done
+
+# Dead-code gate (also a CI step): fails when a function declared in a
+# non-test file under internal/ is linked into no main package (cmd/*,
+# examples/* and bench/galsbench), i.e. only tests call it. Every main
+# package is built with inlining off and its `go tool nm` symbols compared
+# with the declarations; scripts/deadcode.allow lists the exceptions (the
+# API that gals.go aliases, String methods), one reason per line.
+deadcode:
+	GO=$(GO) ./scripts/deadcode.sh
 
 # Policy-parity gate (also a CI step): the "paper" adaptation policy must
 # stay bit-identical to the pre-extraction machine — golden reconfiguration
@@ -160,4 +169,4 @@ bench-e2e-smoke:
 loc:
 	@git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^bench/' | xargs cat | wc -l
 
-ci: build vet allocs inline race fuzz bench-smoke bench-e2e-smoke
+ci: build vet allocs inline deadcode race fuzz bench-smoke bench-e2e-smoke

@@ -28,7 +28,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"gals/internal/control"
 	"gals/internal/core"
@@ -132,30 +131,9 @@ func main() {
 		os.Exit(1)
 	}
 
-	var cfg core.Config
-	switch *mode {
-	case "sync":
-		cfg = core.DefaultSync()
-		if *icache != "" {
-			idx, ok := timing.SyncICacheIndexByName(*icache)
-			if !ok {
-				fmt.Fprintf(os.Stderr, "galsim: unknown sync i-cache %q\n", *icache)
-				os.Exit(1)
-			}
-			cfg.SyncICache = idx
-		}
-	case "program":
-		cfg = core.DefaultAdaptive(core.ProgramAdaptive)
-		if *icache != "" {
-			cfg.ICache = parseAdaptiveICache(*icache)
-		}
-	case "phase":
-		cfg = core.DefaultAdaptive(core.PhaseAdaptive)
-		if *icache != "" {
-			cfg.ICache = parseAdaptiveICache(*icache)
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "galsim: unknown mode %q\n", *mode)
+	cfg, err := core.ParseMachine(*mode, *icache)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "galsim:", err)
 		os.Exit(1)
 	}
 	cfg.DCache = timing.DCacheConfig(*dcache)
@@ -208,17 +186,6 @@ func main() {
 		fmt.Println()
 		plotTelemetry(os.Stdout, tel)
 	}
-}
-
-func parseAdaptiveICache(name string) timing.ICacheConfig {
-	for _, c := range timing.ICacheConfigs() {
-		if strings.EqualFold(c.String(), name) {
-			return c
-		}
-	}
-	fmt.Fprintf(os.Stderr, "galsim: unknown adaptive i-cache %q\n", name)
-	os.Exit(1)
-	return 0
 }
 
 func printResult(r *core.Result) {

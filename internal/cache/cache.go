@@ -45,9 +45,6 @@ type Geometry struct {
 	LineBytes int
 }
 
-// SizeKB returns the total capacity of the geometry in kilobytes.
-func (g Geometry) SizeKB() int { return g.Sets * g.Ways * g.LineBytes / 1024 }
-
 func (g Geometry) validate() error {
 	if g.Sets <= 0 {
 		return fmt.Errorf("cache %s: sets %d not positive", g.Name, g.Sets)

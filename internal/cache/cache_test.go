@@ -28,9 +28,6 @@ func TestGeometryValidation(t *testing.T) {
 			New(g)
 		}()
 	}
-	if got := (Geometry{Sets: 512, Ways: 8, LineBytes: 64}).SizeKB(); got != 256 {
-		t.Errorf("SizeKB = %d, want 256", got)
-	}
 }
 
 func TestBasicHitMiss(t *testing.T) {

@@ -157,7 +157,6 @@ type Clock struct {
 	// struct so the fast paths read a single cache line.
 	fastStart timing.FS
 	final     epoch
-	domain    Domain
 	epochs    []epoch
 	// jitterFrac is the peak-to-peak jitter as a fraction of the period
 	// (0 disables jitter).
@@ -180,7 +179,6 @@ func New(d Domain, period timing.FS, seed uint64, jitterFrac float64) *Clock {
 	}
 	e := newEpoch(0, period, 0)
 	c := &Clock{
-		domain:     d,
 		epochs:     []epoch{e},
 		final:      e,
 		jitterFrac: jitterFrac,
@@ -191,9 +189,6 @@ func New(d Domain, period timing.FS, seed uint64, jitterFrac float64) *Clock {
 	}
 	return c
 }
-
-// Domain returns the domain this clock drives.
-func (c *Clock) Domain() Domain { return c.domain }
 
 // Period returns the clock period in effect at time t.
 func (c *Clock) Period(t timing.FS) timing.FS {
@@ -239,9 +234,15 @@ func (c *Clock) jitter(n uint64, period timing.FS) timing.FS {
 	return timing.FS(frac * float64(period))
 }
 
-// edgeTime returns the time of local edge n of epoch e.
+// edgeTime returns the time of local edge n of epoch e. Edge 0 is the
+// epoch's start itself, with no jitter of its own: the clock's first edge
+// at time 0, or an edge of the previous epoch (SetPeriodAt places it with
+// EdgeAtOrAfter) that already carries its jitter.
 func (c *Clock) edgeTime(e *epoch, n uint64) timing.FS {
 	t := e.start + timing.FS(n)*e.period
+	if n == 0 {
+		return t
+	}
 	return t + c.jitter(e.base+n, e.period)
 }
 
@@ -290,7 +291,7 @@ func (c *Clock) edgeAtOrAfterRare(t timing.FS) timing.FS {
 func (c *Clock) edgeAtOrAfterSlow(t timing.FS) timing.FS {
 	e := c.epochAt(t)
 	if t <= e.start {
-		return c.edgeTime(e, 0)
+		return e.start
 	}
 	n := uint64((t - e.start) / e.period)
 	// Jitter can move edges slightly in either direction; probe around the

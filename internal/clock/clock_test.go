@@ -64,6 +64,27 @@ func TestJitterBoundedAndDeterministic(t *testing.T) {
 	}
 }
 
+// TestJitteredEpochStartIsAnEdge: an epoch's start is already a jittered
+// edge of the previous epoch, so it is the first edge at or after itself,
+// and the next edge after the instant before it. Jittering the start a
+// second time moved that edge before its argument for most seeds.
+func TestJitteredEpochStartIsAnEdge(t *testing.T) {
+	for seed := uint64(0); seed < 50; seed++ {
+		c := New(Integer, 1_000_000, seed, 0.02)
+		c.SetPeriodAt(5_000_001, 2_000_000)
+		start := c.final.start
+		if got := c.EdgeAtOrAfter(start); got != start {
+			t.Errorf("seed %d: EdgeAtOrAfter(epoch start %d) = %d", seed, start, got)
+		}
+		if got := c.NextEdge(start - 1); got != start {
+			t.Errorf("seed %d: NextEdge(%d) = %d, want the epoch start %d", seed, start-1, got, start)
+		}
+		if got := c.EdgeAtOrAfter(0); got != 0 {
+			t.Errorf("seed %d: the first edge at or after 0 is %d", seed, got)
+		}
+	}
+}
+
 func TestSetPeriodAt(t *testing.T) {
 	c := New(LoadStore, 1000, 3, 0)
 	c.SetPeriodAt(10_500, 2000)

@@ -166,8 +166,9 @@ func (in *fuzzBytes) cycles() int {
 // against refClock at query times up to 2^60 fs: around every epoch
 // boundary, inside every epoch, on the edges of every epoch's grid and at
 // random, both while the epochs are being added and once they are all in
-// place. A jittered clock that takes the first clock's reconfigurations
-// must never report OnEdge.
+// place. A jittered clock that takes every reconfiguration must never
+// report OnEdge, and its first edge at or after t and next edge after t
+// must be at or after and after t.
 func FuzzClockEdges(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 4, 3, 0, 8, 1, 1, 12})
@@ -237,6 +238,12 @@ func checkClockEdges(t *testing.T, in *fuzzBytes) {
 		if jittered.OnEdge(tq) {
 			t.Fatalf("jittered clock OnEdge(%d) = true", tq)
 		}
+		if got := jittered.EdgeAtOrAfter(tq); got < tq {
+			t.Fatalf("jittered clock EdgeAtOrAfter(%d) = %d (epochs %v)", tq, got, jittered.epochs)
+		}
+		if got := jittered.NextEdge(tq); got <= tq {
+			t.Fatalf("jittered clock NextEdge(%d) = %d (epochs %v)", tq, got, jittered.epochs)
+		}
 	}
 	probe := func(r *refClock, k int) {
 		s, p := r.starts[k], r.periods[k]
@@ -271,11 +278,7 @@ func checkClockEdges(t *testing.T, in *fuzzBytes) {
 		p := in.period()
 		clocks[i].SetPeriodAt(at, p)
 		refs[i].setPeriodAt(at, p)
-		// A jittered clock's first edge at or after its epoch's start can
-		// precede it, which SetPeriodAt rejects.
-		if i == 0 && at > jittered.final.start {
-			jittered.SetPeriodAt(at, p)
-		}
+		jittered.SetPeriodAt(at, p)
 		probe(refs[i], len(refs[i].starts)-1)
 		check(timing.FS(in.u64()%(1<<60)), in.cycles())
 	}

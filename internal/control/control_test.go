@@ -40,16 +40,13 @@ func TestRegistryBuiltins(t *testing.T) {
 	}
 }
 
-func TestParseAndFormatParams(t *testing.T) {
+func TestParseParams(t *testing.T) {
 	got, err := ParseParams(" interval=7500, hysteresis = 1 ")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := map[string]float64{"interval": 7500, "hysteresis": 1}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("ParseParams = %v, want %v", got, want)
-	}
-	if s := FormatParams(got); s != "hysteresis=1,interval=7500" {
-		t.Errorf("FormatParams = %q", s)
 	}
 	if m, err := ParseParams(""); err != nil || len(m) != 0 {
 		t.Errorf("empty params: %v, %v", m, err)
@@ -62,12 +59,21 @@ func TestParseAndFormatParams(t *testing.T) {
 }
 
 func TestValidateResolvesDefaults(t *testing.T) {
-	full, err := ResolveParams("interval", "hysteresis=3")
+	// resolve hands a policy only the explicit values; an omitted one falls
+	// back to its declared default through Param.
+	p, got, err := resolveParams("interval", "hysteresis=3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full["interval"] != PaperCacheInterval || full["hysteresis"] != 3 {
-		t.Fatalf("defaults not filled: %v", full)
+	if want := map[string]float64{"hysteresis": 3}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("explicit params = %v, want %v", got, want)
+	}
+	def := map[string]float64{}
+	for _, pi := range p.Info().Params {
+		def[pi.Name] = pi.Default
+	}
+	if v := Param(got, "interval", def["interval"]); v != PaperCacheInterval {
+		t.Fatalf("interval default = %v, want %v", v, PaperCacheInterval)
 	}
 	if err := Validate("interval", "interval=-5"); err == nil {
 		t.Error("negative interval validated")

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -19,7 +18,7 @@ type ParamInfo struct {
 	// Name is the parameter key as written in a params string.
 	Name string `json:"name"`
 	// Default is the declared default: the value an omitted parameter
-	// resolves to (possibly indirectly — see ResolveParams).
+	// resolves to (possibly indirectly — see resolve).
 	Default float64 `json:"default"`
 	// Description says what the parameter does (units included).
 	Description string `json:"description"`
@@ -120,24 +119,6 @@ func ParseParams(s string) (map[string]float64, error) {
 		out[k] = f
 	}
 	return out, nil
-}
-
-// FormatParams renders a parameter map in the canonical "k=v,k=v" form
-// (keys sorted), the inverse of ParseParams up to ordering and whitespace.
-func FormatParams(p map[string]float64) string {
-	keys := make([]string, 0, len(p))
-	for k := range p {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%s=%s", k, strconv.FormatFloat(p[k], 'g', -1, 64))
-	}
-	return b.String()
 }
 
 // resolve looks up the policy and parses+validates params and the blob
@@ -276,32 +257,13 @@ func ValidateSelection(name, params, blob string) error {
 	return err
 }
 
-// ResolveParams returns the declared parameter assignment — the policy's
-// Info defaults overlaid with the explicit values — for introspection and
-// reporting. It does not require a blob artifact even for blob-requiring
-// policies: the float parameters resolve independently of the artifact.
-// Note a declared default can itself be indirect (the "interval" policy's
-// hysteresis inherits Config.IQHysteresis when not explicitly given; 2 is
-// the value that resolution bottoms out at).
-func ResolveParams(name, params string) (map[string]float64, error) {
-	p, got, err := resolveParams(name, params)
-	if err != nil {
-		return nil, err
-	}
-	full := make(map[string]float64)
-	for _, pi := range p.Info().Params {
-		full[pi.Name] = Param(got, pi.Name, pi.Default)
-	}
-	return full, nil
-}
-
 // New builds a controller for the named policy ("" selects DefaultPolicy)
 // with the given parameter string and construction state (including any
 // blob artifact in Init.Blob).
 func New(name, params string, init Init) (Controller, error) {
-	p, full, err := resolve(name, params, init.Blob)
+	p, got, err := resolve(name, params, init.Blob)
 	if err != nil {
 		return nil, err
 	}
-	return p.NewController(full, init), nil
+	return p.NewController(got, init), nil
 }

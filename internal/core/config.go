@@ -15,6 +15,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"gals/internal/control"
 	"gals/internal/timing"
@@ -206,6 +207,44 @@ func DefaultAdaptive(mode Mode) Config {
 		FPIQ:   timing.IQ16,
 		Seed:   42,
 	}
+}
+
+// ParseMachine returns the default configuration of the machine that a
+// mode name and an I-cache name select, as galsim's -mode and -icache flags
+// and galsd's mode and icache fields spell them. mode is "sync", "program"
+// or "phase". icache is a Table 3 name in sync mode (e.g. "64k1W") and a
+// Table 2 name, in any case, in the adaptive modes (e.g. "16k1W"); ""
+// keeps the mode's default. An error names the unknown mode or I-cache and
+// carries no package prefix, so each caller prefixes its own.
+func ParseMachine(mode, icache string) (Config, error) {
+	switch mode {
+	case "sync":
+		cfg := DefaultSync()
+		if icache != "" {
+			idx, ok := timing.SyncICacheIndexByName(icache)
+			if !ok {
+				return cfg, fmt.Errorf("unknown sync i-cache %q", icache)
+			}
+			cfg.SyncICache = idx
+		}
+		return cfg, nil
+	case "program", "phase":
+		cfg := DefaultAdaptive(ProgramAdaptive)
+		if mode == "phase" {
+			cfg.Mode = PhaseAdaptive
+		}
+		if icache == "" {
+			return cfg, nil
+		}
+		for _, c := range timing.ICacheConfigs() {
+			if strings.EqualFold(c.String(), icache) {
+				cfg.ICache = c
+				return cfg, nil
+			}
+		}
+		return cfg, fmt.Errorf("unknown adaptive i-cache %q", icache)
+	}
+	return Config{}, fmt.Errorf("unknown mode %q", mode)
 }
 
 // GlobalPeriod returns the single clock period of a Synchronous config:

@@ -338,9 +338,9 @@ func TestPhaseModeUsesBPartitions(t *testing.T) {
 func TestSyncModeSingleClock(t *testing.T) {
 	spec := bench(t, "gzip")
 	m := NewMachine(spec, DefaultSync())
-	g := m.Clock(clock.FrontEnd)
+	g := m.clocks[clock.FrontEnd]
 	for d := clock.Domain(0); int(d) < clock.NumDomains; d++ {
-		if m.Clock(d) != g {
+		if m.clocks[d] != g {
 			t.Errorf("sync machine domain %v has its own clock", d)
 		}
 	}
@@ -354,13 +354,13 @@ func TestAdaptiveModeDomainClocks(t *testing.T) {
 	cfg := DefaultAdaptive(ProgramAdaptive)
 	cfg.DCache = timing.DCache128K4W
 	m := NewMachine(spec, cfg)
-	if m.Clock(clock.FrontEnd) == m.Clock(clock.Integer) {
+	if m.clocks[clock.FrontEnd] == m.clocks[clock.Integer] {
 		t.Error("adaptive machine shares clocks across domains")
 	}
-	if got := m.Clock(clock.LoadStore).CurrentPeriod(); got != timing.DCache128K4W.AdaptPeriod() {
+	if got := m.clocks[clock.LoadStore].CurrentPeriod(); got != timing.DCache128K4W.AdaptPeriod() {
 		t.Errorf("LS period %d, want %d", got, timing.DCache128K4W.AdaptPeriod())
 	}
-	if got := m.Clock(clock.Integer).CurrentPeriod(); got != timing.IQPeriod(timing.IQ16) {
+	if got := m.clocks[clock.Integer].CurrentPeriod(); got != timing.IQPeriod(timing.IQ16) {
 		t.Errorf("INT period %d, want %d", got, timing.IQPeriod(timing.IQ16))
 	}
 }
@@ -401,8 +401,8 @@ func TestMispredictPenaltyCharged(t *testing.T) {
 
 	// Synchronous machine: 9 front-end + 7 integer cycles on one clock.
 	ms := NewMachine(spec, DefaultSync())
-	period := ms.Clock(clock.FrontEnd).CurrentPeriod()
-	resolve := ms.Clock(clock.FrontEnd).EdgeAtOrAfter(100 * period)
+	period := ms.clocks[clock.FrontEnd].CurrentPeriod()
+	resolve := ms.clocks[clock.FrontEnd].EdgeAtOrAfter(100 * period)
 	in := isa.Inst{PC: 0x400040, Class: isa.Branch}
 	in.Taken = !ms.syncPred.Predict(in.PC) // force a mispredict
 	ms.resolveBranch(&in, resolve)
@@ -419,8 +419,8 @@ func TestMispredictPenaltyCharged(t *testing.T) {
 	// Adaptive machine: 10 front-end + 9 integer cycles, each at its own
 	// domain clock, with the redirect crossing into the front end.
 	ma := NewMachine(spec, DefaultAdaptive(ProgramAdaptive))
-	fe := ma.Clock(clock.FrontEnd)
-	ic := ma.Clock(clock.Integer)
+	fe := ma.clocks[clock.FrontEnd]
+	ic := ma.clocks[clock.Integer]
 	resolve = ic.EdgeAtOrAfter(100 * ic.CurrentPeriod())
 	in.Taken = !ma.bank.Predict(in.PC)
 	ma.resolveBranch(&in, resolve)
@@ -468,6 +468,37 @@ func TestModeAndLabelStrings(t *testing.T) {
 	}
 	if DefaultSync().Label() == "" || DefaultAdaptive(ProgramAdaptive).Label() == "" {
 		t.Error("empty config labels")
+	}
+}
+
+// TestParseMachine: the mode and I-cache spellings galsim and galsd share.
+// Sync names match Table 3 exactly; adaptive names match Table 2 in any
+// case.
+func TestParseMachine(t *testing.T) {
+	sync4k, _ := timing.SyncICacheIndexByName("4k1W")
+	for _, c := range []struct {
+		mode, icache string
+		want         func() Config
+	}{
+		{"sync", "", DefaultSync},
+		{"sync", "4k1W", func() Config { c := DefaultSync(); c.SyncICache = sync4k; return c }},
+		{"program", "", func() Config { return DefaultAdaptive(ProgramAdaptive) }},
+		{"phase", "", func() Config { return DefaultAdaptive(PhaseAdaptive) }},
+		{"phase", "64K4w", func() Config { c := DefaultAdaptive(PhaseAdaptive); c.ICache = timing.ICache64K4W; return c }},
+	} {
+		got, err := ParseMachine(c.mode, c.icache)
+		if err != nil || got != c.want() {
+			t.Errorf("ParseMachine(%q, %q) = %+v, %v; want %+v", c.mode, c.icache, got, err, c.want())
+		}
+	}
+	for _, c := range []struct{ mode, icache, err string }{
+		{"Phase", "", `unknown mode "Phase"`},
+		{"sync", "4K1W", `unknown sync i-cache "4K1W"`},
+		{"program", "4k1W", `unknown adaptive i-cache "4k1W"`},
+	} {
+		if _, err := ParseMachine(c.mode, c.icache); err == nil || err.Error() != c.err {
+			t.Errorf("ParseMachine(%q, %q) error %v, want %s", c.mode, c.icache, err, c.err)
+		}
 	}
 }
 

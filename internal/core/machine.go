@@ -212,8 +212,8 @@ type Machine struct {
 	// the instruction loop.
 	tel *Telemetry
 	// dirCounts accumulates committed reconfigurations by
-	// [reconfigKind][direction index] for the process-wide
-	// structure/direction metric, folded once at result construction.
+	// [reconfigKind][direction index] for the process-wide counts
+	// (ReconfigEvents), folded once at result construction.
 	dirCounts [4][3]int64
 
 	// fs is the timing stage's state when the run's functional work comes
@@ -446,6 +446,3 @@ func adaptiveGeometry() (i, d, l2 cache.Geometry) {
 // dcacheWaysA maps a Table 1 configuration to the number of A-partition
 // ways in the physically 8-way adaptive caches.
 func dcacheWaysA(c timing.DCacheConfig) int { return c.Spec().Assoc }
-
-// Clock returns a domain clock (for tests).
-func (m *Machine) Clock(d clock.Domain) *clock.Clock { return m.clocks[d] }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"sync"
 	"sync/atomic"
 )
@@ -15,11 +16,8 @@ var (
 	simRuns   atomic.Int64
 	simInstrs atomic.Int64
 
-	reconfigMu       sync.Mutex
-	reconfigByPolicy map[string]int64
-
-	reconfigDirMu sync.Mutex
-	reconfigByDir map[ReconfigCell]int64
+	reconfigMu sync.Mutex
+	reconfigs  map[ReconfigCell]int64
 
 	telemetryRuns  atomic.Int64
 	telemetryBytes atomic.Int64
@@ -29,30 +27,42 @@ var (
 	streamBytes  atomic.Int64
 )
 
-// ReconfigCell keys the process-wide reconfiguration-event counters: one
-// cell per (structure, direction) pair, the label set of the
-// gals_reconfig_events_total metric.
+// ReconfigCell keys the process-wide reconfiguration-event counts: the
+// adaptation policy a run executed under (policyLabel) and the structure
+// and direction of each committed reconfiguration. Every event counts in
+// exactly one cell; the per-policy and per-structure metrics are sums.
 type ReconfigCell struct {
+	Policy    string
 	Structure string
 	Direction string
 }
 
-// noteRun folds one completed run into the boundary counters: a handful of
-// atomic adds plus, only when the run reconfigured, one short mutex
-// section on a policy-keyed map (runs are 0.1ms+; this is noise).
-func noteRun(cfg Config, st *Stats) {
+// noteRun folds one completed run into the boundary counters: two atomic
+// adds, then its reconfigurations by structure and direction, which it
+// zeroes so a machine driven in multiple Run calls folds each completion's
+// delta exactly once. Only a run that reconfigured takes the short mutex
+// section (runs are 0.1ms+; this is noise); the others pay the array scan.
+func noteRun(cfg Config, st *Stats, counts *[4][3]int64) {
 	simRuns.Add(1)
 	simInstrs.Add(st.Instructions)
-	if st.Reconfigs == 0 {
-		return
+	locked := false
+	for k := range counts {
+		for d, n := range counts[k] {
+			if n == 0 {
+				continue
+			}
+			if !locked {
+				reconfigMu.Lock()
+				defer reconfigMu.Unlock()
+				locked = true
+				if reconfigs == nil {
+					reconfigs = make(map[ReconfigCell]int64)
+				}
+			}
+			reconfigs[ReconfigCell{policyLabel(cfg), reconfigNames[k], reconfigDirections[d]}] += n
+			counts[k][d] = 0
+		}
 	}
-	pol := policyLabel(cfg)
-	reconfigMu.Lock()
-	if reconfigByPolicy == nil {
-		reconfigByPolicy = make(map[string]int64)
-	}
-	reconfigByPolicy[pol] += st.Reconfigs
-	reconfigMu.Unlock()
 }
 
 // policyLabel names the adaptation policy a run executed under for the
@@ -70,45 +80,11 @@ func policyLabel(cfg Config) string {
 	return "none"
 }
 
-// noteReconfigDirections folds a completed run's per-structure,
-// per-direction reconfiguration counts into the process-wide map, then
-// zeroes them so a machine driven in multiple Run calls folds each
-// completion's delta exactly once. Runs that never reconfigured pay only
-// the array scan.
-func noteReconfigDirections(counts *[4][3]int64) {
-	var locked bool
-	for k := range counts {
-		for d := range counts[k] {
-			n := counts[k][d]
-			if n == 0 {
-				continue
-			}
-			if !locked {
-				reconfigDirMu.Lock()
-				locked = true
-				if reconfigByDir == nil {
-					reconfigByDir = make(map[ReconfigCell]int64)
-				}
-			}
-			reconfigByDir[ReconfigCell{reconfigNames[k], reconfigDirections[d]}] += n
-			counts[k][d] = 0
-		}
-	}
-	if locked {
-		reconfigDirMu.Unlock()
-	}
-}
-
-// ReconfigEventsByCell snapshots the process-wide reconfiguration-event
-// counts by (structure, direction).
-func ReconfigEventsByCell() map[ReconfigCell]int64 {
-	reconfigDirMu.Lock()
-	defer reconfigDirMu.Unlock()
-	out := make(map[ReconfigCell]int64, len(reconfigByDir))
-	for k, v := range reconfigByDir {
-		out[k] = v
-	}
-	return out
+// ReconfigEvents snapshots the process-wide reconfiguration-event counts.
+func ReconfigEvents() map[ReconfigCell]int64 {
+	reconfigMu.Lock()
+	defer reconfigMu.Unlock()
+	return maps.Clone(reconfigs)
 }
 
 // NoteTelemetryArtifact folds one serialized telemetry artifact into the
@@ -132,18 +108,6 @@ func SimRuns() int64 { return simRuns.Load() }
 // SimInstructions reports the total instructions committed across all
 // completed runs in this process.
 func SimInstructions() int64 { return simInstrs.Load() }
-
-// ReconfigsByPolicy snapshots the total on-line reconfigurations committed
-// per adaptation policy.
-func ReconfigsByPolicy() map[string]int64 {
-	reconfigMu.Lock()
-	defer reconfigMu.Unlock()
-	out := make(map[string]int64, len(reconfigByPolicy))
-	for k, v := range reconfigByPolicy {
-		out[k] = v
-	}
-	return out
-}
 
 // FunctionalStreamBuilds reports how many runs in this process started a
 // recording's functional stream (stream.go); FunctionalStreamReuses how

@@ -544,8 +544,7 @@ func (m *Machine) steps(n int64) {
 }
 
 func (m *Machine) result() *Result {
-	noteRun(m.cfg, &m.stats)
-	noteReconfigDirections(&m.dirCounts)
+	noteRun(m.cfg, &m.stats, &m.dirCounts)
 	if t := m.tel; t != nil {
 		t.Seal(m)
 	}

@@ -13,6 +13,8 @@
 package core
 
 import (
+	"slices"
+
 	"gals/internal/clock"
 	"gals/internal/queue"
 	"gals/internal/timing"
@@ -176,38 +178,33 @@ func (t *Telemetry) iqWindows() []TelemetryIQWindow {
 	return t.iqBacking[lo : lo+iqWindowsPerSample : lo+iqWindowsPerSample]
 }
 
-func (t *Telemetry) pushSample(s TelemetrySample) {
-	if len(t.Samples) < cap(t.Samples) {
-		t.Samples = append(t.Samples, s)
+// ringPush appends v to the ring *s, whose capacity is fixed at
+// construction. Once the ring is full, v overwrites the oldest entry, at
+// *head, in place and the drop is counted in *dropped.
+func ringPush[T any](s *[]T, head *int, dropped *int64, v T) {
+	if len(*s) < cap(*s) {
+		*s = append(*s, v)
 		return
 	}
-	if cap(t.Samples) == 0 {
-		t.DroppedSamples++
+	*dropped++
+	if len(*s) == 0 {
 		return
 	}
-	t.Samples[t.sampleHead] = s
-	t.sampleHead++
-	if t.sampleHead == len(t.Samples) {
-		t.sampleHead = 0
+	(*s)[*head] = v
+	if *head++; *head == len(*s) {
+		*head = 0
 	}
-	t.DroppedSamples++
 }
 
-func (t *Telemetry) pushEvent(e TelemetryEvent) {
-	if len(t.Events) < cap(t.Events) {
-		t.Events = append(t.Events, e)
+// ringRotate puts a ring's entries in chronological order in place: the
+// oldest, at head, moves to the front.
+func ringRotate[T any](s []T, head int) {
+	if head == 0 {
 		return
 	}
-	if cap(t.Events) == 0 {
-		t.DroppedEvents++
-		return
-	}
-	t.Events[t.eventHead] = e
-	t.eventHead++
-	if t.eventHead == len(t.Events) {
-		t.eventHead = 0
-	}
-	t.DroppedEvents++
+	slices.Reverse(s[:head])
+	slices.Reverse(s[head:])
+	slices.Reverse(s)
 }
 
 // base fills the fields every sample shares: position, configuration state
@@ -259,7 +256,7 @@ func (t *Telemetry) noteCacheInterval(m *Machine, st *intervalSnapshot) {
 	s.ICacheHitsA, s.ICacheHitsB, s.ICacheMisses = st.i.Reconstruct(int(m.iCfg)+1, true)
 	s.DCacheHitsA, s.DCacheHitsB, s.DCacheMisses = st.d.Reconstruct(dcacheWaysA(m.dCfg), true)
 	s.L2HitsA, s.L2HitsB, s.L2Misses = st.l2.Reconstruct(dcacheWaysA(m.dCfg), true)
-	t.pushSample(s)
+	ringPush(&t.Samples, &t.sampleHead, &t.DroppedSamples, s)
 }
 
 // noteIQInterval records one completed ILP-tracking interval with the four
@@ -274,13 +271,13 @@ func (t *Telemetry) noteIQInterval(m *Machine, samples [iqWindowsPerSample]queue
 		iq[i] = TelemetryIQWindow{Window: w.N, MaxILP: w.M, IntOcc: w.IntCount, FPOcc: w.FPCount}
 	}
 	s.IQ = iq
-	t.pushSample(s)
+	ringPush(&t.Samples, &t.sampleHead, &t.DroppedSamples, s)
 }
 
 // noteReconfig records one committed reconfiguration, tagged with the
 // boundary that triggered it.
 func (t *Telemetry) noteReconfig(m *Machine, structure, label string, to, from int) {
-	t.pushEvent(TelemetryEvent{
+	ringPush(&t.Events, &t.eventHead, &t.DroppedEvents, TelemetryEvent{
 		Instr:     m.count,
 		TimeFS:    int64(m.lastCommit),
 		Structure: structure,
@@ -322,39 +319,9 @@ func (t *Telemetry) Seal(m *Machine) {
 		return
 	}
 	t.sealed = true
-	rotateSamples(t.Samples, t.sampleHead)
-	rotateEvents(t.Events, t.eventHead)
+	ringRotate(t.Samples, t.sampleHead)
+	ringRotate(t.Events, t.eventHead)
 	t.sampleHead, t.eventHead = 0, 0
-}
-
-func rotateSamples(s []TelemetrySample, head int) {
-	if head == 0 {
-		return
-	}
-	reverseSamples(s[:head])
-	reverseSamples(s[head:])
-	reverseSamples(s)
-}
-
-func reverseSamples(s []TelemetrySample) {
-	for i, j := 0, len(s)-1; i < j; i, j = i+1, j-1 {
-		s[i], s[j] = s[j], s[i]
-	}
-}
-
-func rotateEvents(e []TelemetryEvent, head int) {
-	if head == 0 {
-		return
-	}
-	reverseEvents(e[:head])
-	reverseEvents(e[head:])
-	reverseEvents(e)
-}
-
-func reverseEvents(e []TelemetryEvent) {
-	for i, j := 0, len(e)-1; i < j; i, j = i+1, j-1 {
-		e[i], e[j] = e[j], e[i]
-	}
 }
 
 // EventTotal returns the number of reconfiguration events the run

@@ -161,18 +161,18 @@ func TestTelemetryRingReuseAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestTelemetryDirectionAccounting cross-checks the per-direction process
-// counters against the artifact: the delta the run contributed must match
-// the artifact's per-structure/direction event counts exactly.
+// TestTelemetryDirectionAccounting cross-checks the process-wide counts
+// against the artifact: the delta the run contributed must match the
+// artifact's per-policy/structure/direction event counts exactly.
 func TestTelemetryDirectionAccounting(t *testing.T) {
 	spec, _ := workload.ByName("gcc")
 	cfg := DefaultAdaptive(PhaseAdaptive)
 	cfg.PLLScale = 0.1
 
-	before := ReconfigEventsByCell()
+	before := ReconfigEvents()
 	tel := NewTelemetry(0)
 	res := runTelemetry(spec, cfg, telTestWindow, tel)
-	after := ReconfigEventsByCell()
+	after := ReconfigEvents()
 
 	if res.Stats.Reconfigs == 0 {
 		t.Fatal("phase-adaptive gcc run committed no reconfigurations; the cross-check is vacuous")
@@ -180,7 +180,7 @@ func TestTelemetryDirectionAccounting(t *testing.T) {
 	var deltaTotal int64
 	fromArtifact := map[ReconfigCell]int64{}
 	for _, ev := range tel.Events {
-		fromArtifact[ReconfigCell{Structure: ev.Structure, Direction: ev.Direction}]++
+		fromArtifact[ReconfigCell{Policy: tel.Policy, Structure: ev.Structure, Direction: ev.Direction}]++
 	}
 	for cell, n := range after {
 		if d := n - before[cell]; d != 0 {

@@ -42,32 +42,36 @@ func TestControllersExperiment(t *testing.T) {
 }
 
 // TestControllersReusesSidecarArtifact: with a persistent store in Env,
-// the experiment's training runs once; a repeat (memo dropped) loads the
-// sidecar instead of retraining.
+// the experiment writes its training's sidecar there, and a repeat in a
+// second process (a second Open of the same directory) loads it instead of
+// retraining: it misses nothing and writes nothing.
 func TestControllersReusesSidecarArtifact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("controller comparison in -short mode")
 	}
-	c, err := resultcache.Open(t.TempDir())
+	dir := t.TempDir()
+	c, err := resultcache.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	learn.ResetArtifactMemo()
-	t.Cleanup(learn.ResetArtifactMemo)
-
 	o := Options{Window: 2_000, PLLScale: 0.1, Seed: 43, Env: sweep.Env{Cache: c}}
-	before := learn.Trainings()
 	if _, err := Run("controllers", o); err != nil {
 		t.Fatal(err)
 	}
-	if learn.Trainings() != before+1 {
-		t.Fatalf("first controllers run trained %d times, want 1", learn.Trainings()-before)
+	key := learn.ArtifactKey(learn.TrainOptions{Window: o.Window, PLLScale: o.PLLScale, Seed: o.Seed})
+	if !c.Has(key) {
+		t.Fatal("first controllers run left no sidecar artifact")
 	}
-	learn.ResetArtifactMemo()
+
+	second, err := resultcache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.Env.Cache = second
 	if _, err := Run("controllers", o); err != nil {
 		t.Fatal(err)
 	}
-	if learn.Trainings() != before+1 {
-		t.Fatal("second controllers run retrained despite the persisted sidecar artifact")
+	if st := second.Stats(); st.Misses != 0 || st.Puts != 0 {
+		t.Fatalf("second controllers run missed %d and wrote %d entries, want 0 and 0 (retrained?)", st.Misses, st.Puts)
 	}
 }

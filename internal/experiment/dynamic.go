@@ -48,18 +48,21 @@ func (r *SuiteResult) PhaseImprovement(i int) float64 {
 	return sweep.Improvement(r.SyncTimes[i], r.PhaseResults[i].TimeFS)
 }
 
+// suiteMemoKey keys the process-local suite memo: the options of the
+// persistent key plus the store the suite persists to, so two services
+// over separate directories each load or compute, and persist, their own
+// suite.
+type suiteMemoKey struct {
+	opts  Options
+	cache resultcache.Store
+}
+
 var (
 	// suites is the process-local suite memo: computations for different
-	// Options never wait on each other.
-	suites        flight.Group[Options, *SuiteResult]
+	// keys never wait on each other.
+	suites        flight.Group[suiteMemoKey, *SuiteResult]
 	suiteComputes atomic.Int64
 )
-
-// ResetSuiteMemo drops the process-local suite memo (the persistent store,
-// if any, is untouched). Intended for tests and cache administration: after
-// a reset, the next RunSuite must come from the persistent layer or be
-// recomputed.
-func ResetSuiteMemo() { suites.Reset() }
 
 // normalized resolves defaulted fields, so Window 0 and the explicit
 // default window run (and memoize) identically. Seed and PLLScale resolve
@@ -77,7 +80,7 @@ func (o Options) normalized() Options {
 	return o
 }
 
-// memoKey is the suite-cache key: the normalized options with every
+// memoKey is the suite's persistent key: the normalized options with every
 // result-neutral field dropped.
 func (o Options) memoKey() Options {
 	o = o.normalized()
@@ -106,7 +109,7 @@ func SuiteComputations() int64 { return suiteComputes.Load() }
 func RunSuite(o Options) (*SuiteResult, error) {
 	o = o.normalized()
 	memo := o.memoKey()
-	r, _, err := suites.Do(o.Ctx, memo, func(context.Context) (*SuiteResult, error) {
+	r, _, err := suites.Do(o.Ctx, suiteMemoKey{memo, o.Env.Cache}, func(context.Context) (*SuiteResult, error) {
 		return computeSuite(o, memo)
 	})
 	return r, err
@@ -186,7 +189,7 @@ func computeSuite(o, memo Options) (*SuiteResult, error) {
 // cachedSuite returns the memoized suite for o, or nil without computing
 // or waiting for anything.
 func cachedSuite(o Options) *SuiteResult {
-	r, _ := suites.Peek(o.memoKey())
+	r, _ := suites.Peek(suiteMemoKey{o.memoKey(), o.Env.Cache})
 	return r
 }
 

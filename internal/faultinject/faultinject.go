@@ -84,8 +84,7 @@ type plan struct {
 	rate  float64
 	delay time.Duration
 
-	calls    atomic.Uint64
-	injected atomic.Uint64
+	calls atomic.Uint64
 }
 
 // fire decides deterministically whether call number n injects: the count
@@ -93,11 +92,7 @@ type plan struct {
 // exactly calls 4, 8, 12, ... regardless of concurrency interleaving.
 func (p *plan) fire() bool {
 	n := p.calls.Add(1)
-	if p.rate >= 1 || uint64(float64(n)*p.rate) > uint64(float64(n-1)*p.rate) {
-		p.injected.Add(1)
-		return true
-	}
-	return false
+	return p.rate >= 1 || uint64(float64(n)*p.rate) > uint64(float64(n-1)*p.rate)
 }
 
 var (
@@ -250,15 +245,4 @@ func Mutate(pt Point, b []byte) []byte {
 		out[i] ^= 0xff
 	}
 	return out
-}
-
-// Injected reports how many faults the point has injected since its plan
-// was armed (0 when unarmed) — the observability surface chaos tests and
-// operators assert against.
-func Injected(pt Point) uint64 {
-	p := lookup(pt)
-	if p == nil {
-		return 0
-	}
-	return p.injected.Load()
 }

@@ -70,9 +70,6 @@ func TestInjectEnableDisable(t *testing.T) {
 	if err := Err(ServiceDispatch); err != nil {
 		t.Fatalf("Err after disable = %v, want nil", err)
 	}
-	if got := Injected(ServiceDispatch); got != 0 {
-		t.Fatalf("Injected after disable = %d, want 0", got)
-	}
 }
 
 func TestInjectDeterministicRate(t *testing.T) {
@@ -92,9 +89,6 @@ func TestInjectDeterministicRate(t *testing.T) {
 	}
 	if fails != 25 {
 		t.Fatalf("rate 0.25 over 100 calls injected %d times, want exactly 25", fails)
-	}
-	if got := Injected(ServiceDispatch); got != 25 {
-		t.Fatalf("Injected = %d, want 25", got)
 	}
 	// floor(n*0.25) increments at n = 4, 8, 12, ...
 	for i, fired := range pattern {

@@ -66,13 +66,6 @@ func (c OpClass) IsFP() bool {
 	return c == FPAdd || c == FPMult || c == FPDiv || c == FPSqrt
 }
 
-// IsInt reports whether the class executes in the integer domain
-// (including branches; address generation for memory ops is accounted
-// separately by the pipeline).
-func (c OpClass) IsInt() bool {
-	return c == IntALU || c == IntMult || c == IntDiv || c == Branch
-}
-
 // IsMem reports whether the class occupies the load/store queue.
 func (c OpClass) IsMem() bool { return c == Load || c == Store }
 

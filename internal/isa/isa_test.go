@@ -7,25 +7,25 @@ import (
 
 func TestOpClassPredicates(t *testing.T) {
 	cases := []struct {
-		c                   OpClass
-		fp, intg, mem, ctrl bool
+		c             OpClass
+		fp, mem, ctrl bool
 	}{
-		{IntALU, false, true, false, false},
-		{IntMult, false, true, false, false},
-		{IntDiv, false, true, false, false},
-		{FPAdd, true, false, false, false},
-		{FPMult, true, false, false, false},
-		{FPDiv, true, false, false, false},
-		{FPSqrt, true, false, false, false},
-		{Load, false, false, true, false},
-		{Store, false, false, true, false},
-		{Branch, false, true, false, true},
-		{Jump, false, false, false, true},
+		{IntALU, false, false, false},
+		{IntMult, false, false, false},
+		{IntDiv, false, false, false},
+		{FPAdd, true, false, false},
+		{FPMult, true, false, false},
+		{FPDiv, true, false, false},
+		{FPSqrt, true, false, false},
+		{Load, false, true, false},
+		{Store, false, true, false},
+		{Branch, false, false, true},
+		{Jump, false, false, true},
 	}
 	for _, c := range cases {
-		if c.c.IsFP() != c.fp || c.c.IsInt() != c.intg || c.c.IsMem() != c.mem || c.c.IsCtrl() != c.ctrl {
-			t.Errorf("%v: predicates fp=%v int=%v mem=%v ctrl=%v unexpected",
-				c.c, c.c.IsFP(), c.c.IsInt(), c.c.IsMem(), c.c.IsCtrl())
+		if c.c.IsFP() != c.fp || c.c.IsMem() != c.mem || c.c.IsCtrl() != c.ctrl {
+			t.Errorf("%v: predicates fp=%v mem=%v ctrl=%v unexpected",
+				c.c, c.c.IsFP(), c.c.IsMem(), c.c.IsCtrl())
 		}
 	}
 }

@@ -129,34 +129,37 @@ func TestLearnedPolicyDeterminism(t *testing.T) {
 }
 
 // TestArtifactSidecar: the trained weights persist as a result-cache
-// sidecar — a second process (simulated by dropping the in-process memo)
-// loads them instead of retraining, byte-identically.
+// sidecar — a second process (modelled by a second Open of the same
+// directory) loads them instead of retraining, byte-identically.
 func TestArtifactSidecar(t *testing.T) {
-	store, err := resultcache.Open(t.TempDir())
+	dir := t.TempDir()
+	store, err := resultcache.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	o := TrainOptions{Window: 6_000}
-	before := Trainings()
 	blob, err := Artifact(sweep.Env{Cache: store}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if Trainings() != before+1 {
-		t.Fatalf("first Artifact trained %d times, want 1", Trainings()-before)
+	// Trained once: the sidecar missed, then was written.
+	if st := store.Stats(); st.Misses != 1 || st.Puts != 1 {
+		t.Fatalf("first Artifact: %d misses and %d writes, want 1 and 1", st.Misses, st.Puts)
 	}
 	if _, err := ParseModel(blob); err != nil {
 		t.Fatalf("artifact does not validate: %v", err)
 	}
 
-	ResetArtifactMemo()
-	t.Cleanup(ResetArtifactMemo)
-	again, err := Artifact(sweep.Env{Cache: store}, o)
+	second, err := resultcache.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if Trainings() != before+1 {
-		t.Fatal("second Artifact retrained despite the persisted sidecar")
+	again, err := Artifact(sweep.Env{Cache: second}, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := second.Stats(); st.Hits != 1 || st.Misses != 0 || st.Puts != 0 {
+		t.Fatalf("second Artifact: %d hits, %d misses, %d writes, want the sidecar loaded and nothing retrained", st.Hits, st.Misses, st.Puts)
 	}
 	if again != blob {
 		t.Fatal("sidecar round trip changed the artifact bytes")
@@ -165,6 +168,20 @@ func TestArtifactSidecar(t *testing.T) {
 	// Distinct training options are distinct artifacts.
 	if k1, k2 := ArtifactKey(o), ArtifactKey(TrainOptions{Window: 7_000}); k1 == k2 {
 		t.Fatal("distinct training options share an artifact key")
+	}
+
+	// A store over another directory gets its own sidecar: the memo is
+	// per store, so an artifact trained for one directory is not served
+	// to a caller persisting elsewhere.
+	other, err := resultcache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, err := Artifact(sweep.Env{Cache: other}, o); err != nil || b != blob {
+		t.Fatalf("artifact over a second directory: err %v, same bytes %v", err, b == blob)
+	}
+	if !other.Has(ArtifactKey(o)) {
+		t.Fatal("the second directory holds no sidecar")
 	}
 }
 

@@ -10,7 +10,6 @@ package learn
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 
 	"gals/internal/control"
 	"gals/internal/core"
@@ -202,16 +201,17 @@ func fit(ds []sample, epochs int) ([]float64, float64) {
 // ---------------------------------------------------------------------------
 // The sidecar artifact.
 
-var (
-	// artifacts is the process-local memo: a training run holds up only
-	// the callers of its own key.
-	artifacts flight.Group[string, string]
-	trainings atomic.Int64
-)
+// artifactMemoKey keys the process-local artifact memo: the sidecar's key
+// plus the store it persists to, so a process with two stores writes the
+// sidecar to each.
+type artifactMemoKey struct {
+	key   string
+	cache resultcache.Store
+}
 
-// Trainings reports how many times the training pipeline actually executed
-// (as opposed to being served from the memo or the persistent sidecar).
-func Trainings() int64 { return trainings.Load() }
+// artifacts is the process-local memo: a training run holds up only the
+// callers of its own key.
+var artifacts flight.Group[artifactMemoKey, string]
 
 // ArtifactKey returns the result-cache key of the training options'
 // sidecar artifact.
@@ -220,14 +220,14 @@ func ArtifactKey(o TrainOptions) string {
 }
 
 // Artifact returns the canonical weights artifact for the training options,
-// training at most once per identity: first the process-local memo, then
-// the sidecar entry in env.Cache (when set), then the pipeline — whose
-// output is written back as the sidecar. The returned blob validates under
+// training at most once per identity and store: first the process-local
+// memo, then the sidecar entry in env.Cache (when set), then the pipeline —
+// whose output is written back as the sidecar. The returned blob validates under
 // the "learned" policy and is byte-stable across processes: a stored model
 // decodes and re-encodes to exactly the trained bytes.
 func Artifact(env sweep.Env, o TrainOptions) (string, error) {
 	key := ArtifactKey(o)
-	blob, _, err := artifacts.Do(nil, key, func(context.Context) (string, error) {
+	blob, _, err := artifacts.Do(nil, artifactMemoKey{key, env.Cache}, func(context.Context) (string, error) {
 		return trainArtifact(env, o, key)
 	})
 	return blob, err
@@ -249,7 +249,6 @@ func trainArtifact(env sweep.Env, o TrainOptions, key string) (string, error) {
 			// overwritten below.
 		}
 	}
-	trainings.Add(1)
 	m, _, err := Train(env, o)
 	if err != nil {
 		return "", err
@@ -263,7 +262,3 @@ func trainArtifact(env sweep.Env, o TrainOptions, key string) (string, error) {
 	}
 	return blob, nil
 }
-
-// ResetArtifactMemo drops the process-local artifact memo (tests and cache
-// administration; the persistent sidecars are untouched).
-func ResetArtifactMemo() { artifacts.Reset() }

@@ -11,9 +11,6 @@ import "gals/internal/timing"
 // chunked transfer timing from package timing.
 type Controller struct {
 	busFree timing.FS
-	// accesses and busyTime accumulate utilization statistics.
-	accesses int64
-	busyTime timing.FS
 }
 
 // New returns an idle memory controller.
@@ -32,14 +29,5 @@ func (m *Controller) Access(t timing.FS, size int) timing.FS {
 	// can overlap its row activation with the tail of this transfer.
 	chunks := (size + timing.MemChunkBytes - 1) / timing.MemChunkBytes
 	m.busFree = start + timing.FS(chunks)*timing.MemNextAccess
-	m.accesses++
-	m.busyTime += lat
 	return done
 }
-
-// Accesses returns the number of transfers served.
-func (m *Controller) Accesses() int64 { return m.accesses }
-
-// BusyTime returns the cumulative transfer latency served (for utilization
-// reporting).
-func (m *Controller) BusyTime() timing.FS { return m.busyTime }

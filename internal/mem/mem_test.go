@@ -12,12 +12,6 @@ func TestSingleAccessLatency(t *testing.T) {
 	if want := timing.MemLatency(128); done != want {
 		t.Errorf("completion %d, want %d", done, want)
 	}
-	if m.Accesses() != 1 {
-		t.Errorf("accesses = %d, want 1", m.Accesses())
-	}
-	if m.BusyTime() != timing.MemLatency(128) {
-		t.Errorf("busy time %d, want %d", m.BusyTime(), timing.MemLatency(128))
-	}
 }
 
 func TestBackToBackSerializesOnChannel(t *testing.T) {

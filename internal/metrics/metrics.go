@@ -236,14 +236,7 @@ func (r *Registry) NewGauge(name, help string) *Gauge {
 	return g
 }
 
-// Set stores v. Add adds delta (negative allowed). Both nil-safe.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(v)
-}
-
+// Add adds delta (negative allowed). Nil-safe.
 func (g *Gauge) Add(delta int64) {
 	if g == nil {
 		return

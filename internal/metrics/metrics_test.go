@@ -15,7 +15,7 @@ func TestExpositionParses(t *testing.T) {
 	c := r.NewCounter("test_ops_total", "operations so far")
 	c.Add(3)
 	g := r.NewGauge("test_depth", "current queue depth")
-	g.Set(-2)
+	g.Add(-2)
 	r.NewCounterFunc("test_func_total", "func-backed counter", func() float64 { return 7 })
 	r.NewGaugeFunc("test_func_gauge", "func-backed gauge", func() float64 { return 1.5 })
 	r.NewFunc("test_labeled_total", "per-policy counts", "counter", func() []Sample {

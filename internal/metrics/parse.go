@@ -28,9 +28,6 @@ type ParsedSample struct {
 	Value float64
 }
 
-// Label returns the sample's value for the label key ("" when absent).
-func (s ParsedSample) Label(key string) string { return s.Labels[key] }
-
 // Scrape is a parsed exposition: samples in document order plus the
 // families' declared types.
 type Scrape struct {

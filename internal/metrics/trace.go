@@ -11,7 +11,6 @@
 package metrics
 
 import (
-	"encoding/json"
 	"sync"
 	"time"
 )
@@ -32,7 +31,7 @@ type Tracer struct {
 	spans   int   // spans recorded, at most maxSpans
 	dropped int64 // spans opened past maxSpans
 	t0      time.Time
-	now     func() time.Time // test seam; nil means time.Now
+	now     func() time.Time
 }
 
 // SpanData is the serialized form of one span. StartUS is relative to the
@@ -67,14 +66,10 @@ type Span struct {
 }
 
 // NewTracer starts a trace whose root is named name.
-func NewTracer(name string) *Tracer {
-	t := &Tracer{now: time.Now}
-	t.t0 = t.now()
-	t.root = &SpanData{Name: name}
-	return t
-}
+func NewTracer(name string) *Tracer { return newTracerAt(name, time.Now) }
 
-// newTracerAt is the test constructor with an injected clock.
+// newTracerAt starts a trace that reads time from now (tests inject a
+// deterministic clock).
 func newTracerAt(name string, now func() time.Time) *Tracer {
 	t := &Tracer{now: now}
 	t.t0 = t.now()
@@ -151,10 +146,4 @@ func (t *Tracer) Finish() *TraceDump {
 		Spans:        t.root.Children,
 		DroppedSpans: t.dropped,
 	}
-}
-
-// JSON renders the finished trace as indented JSON (the -trace-dir file
-// format).
-func (t *Tracer) JSON() ([]byte, error) {
-	return json.MarshalIndent(t.Finish(), "", "  ")
 }

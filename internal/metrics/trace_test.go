@@ -37,7 +37,7 @@ func TestTraceJSONRoundTrip(t *testing.T) {
 	persist := tr.Start("persist", "")
 	persist.End()
 
-	blob, err := tr.JSON()
+	blob, err := json.MarshalIndent(tr.Finish(), "", "  ")
 	if err != nil {
 		t.Fatalf("JSON: %v", err)
 	}

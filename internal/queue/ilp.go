@@ -72,9 +72,6 @@ type Tracker struct {
 	samples [4]Sample
 }
 
-// NewTracker returns a reset tracker with the paper's window sizes.
-func NewTracker() *Tracker { return NewTrackerSizes(defaultWindowSizes) }
-
 // NewTrackerSizes returns a reset tracker measuring the given window sizes,
 // which must be positive, strictly increasing and at most 64 (the hardware
 // timestamp saturation point). This is the controller-facing knob behind
@@ -211,9 +208,6 @@ type Controller struct {
 func NewController(fp bool, cur timing.IQSize, hysteresis int) *Controller {
 	return &Controller{FP: fp, Hysteresis: hysteresis, current: cur, candidate: cur}
 }
-
-// Current returns the size the controller believes the queue has.
-func (c *Controller) Current() timing.IQSize { return c.current }
 
 // Decide consumes one completed interval's samples and returns the new
 // size and whether a resize should be initiated now.

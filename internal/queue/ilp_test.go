@@ -27,7 +27,7 @@ func parallelInst(i int) isa.Inst {
 
 func runTracker(t *testing.T, gen func(i int) isa.Inst) [4]Sample {
 	t.Helper()
-	tr := NewTracker()
+	tr := NewTrackerSizes(defaultWindowSizes)
 	for i := 0; i < 10_000; i++ {
 		in := gen(i)
 		if tr.Observe(&in) {
@@ -106,7 +106,7 @@ func TestMinorityTypeStifled(t *testing.T) {
 
 func TestIntervalEndsOnEitherCount(t *testing.T) {
 	// Pure FP stream: the FP counter must close the interval.
-	tr := NewTracker()
+	tr := NewTrackerSizes(defaultWindowSizes)
 	n := 0
 	for i := 0; i < 1000; i++ {
 		in := isa.Inst{Class: isa.FPMult, Dest: isa.FPReg(1 + i%20), Src1: isa.FPReg(0)}
@@ -121,7 +121,7 @@ func TestIntervalEndsOnEitherCount(t *testing.T) {
 }
 
 func TestTrackerReset(t *testing.T) {
-	tr := NewTracker()
+	tr := NewTrackerSizes(defaultWindowSizes)
 	in := serialInst(0)
 	for i := 0; i < 100; i++ {
 		in = serialInst(i)
@@ -138,7 +138,7 @@ func TestTrackerReset(t *testing.T) {
 }
 
 func TestTimestampSaturation(t *testing.T) {
-	tr := NewTracker()
+	tr := NewTrackerSizes(defaultWindowSizes)
 	for i := 0; i < 500; i++ {
 		in := serialInst(i)
 		if tr.Observe(&in) {
@@ -173,8 +173,8 @@ func TestControllerHysteresis(t *testing.T) {
 	if _, resize := c.Decide(up); resize {
 		t.Fatal("streak not reset by disagreement")
 	}
-	if c.Current() != timing.IQ64 {
-		t.Errorf("current = %d, want 64", c.Current())
+	if c.current != timing.IQ64 {
+		t.Errorf("current = %d, want 64", c.current)
 	}
 }
 

@@ -51,7 +51,12 @@ import (
 // controller's CacheInterval is re-read after every decision). The "paper"
 // default remains pinned bit-identical by parity tests; every key payload's
 // encoding changed again, so v2 entries are orphaned wholesale.
-const SchemaVersion = "gals-results-v3"
+//
+// v4: a jittered clock's epoch start is its own edge instead of that edge
+// jittered a second time, which had put the first edge at or after an
+// epoch's start before it. Jittered runs change; jitter-free results are
+// bit-identical.
+const SchemaVersion = "gals-results-v4"
 
 // Store is the persistence interface consumed by the compute layers
 // (experiment's suite memo, sweep's measure matrices, the service's runs).

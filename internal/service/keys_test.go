@@ -33,10 +33,10 @@ func TestServiceKeysPinned(t *testing.T) {
 		Priority: 1, TimeoutMS: 300,
 	}
 	for _, c := range []struct{ got, want string }{
-		{run.cacheKey(), "run/bf4ca3cf3db90c3107250ac0f78c6ad3108ca2ec0135e7418b50af9294932b16"},
-		{run.telemetryKey(), "telemetry/d5245fece093c0299f4cd9dd4739a727f4216c8e35c30f2a87d35e94bab79838"},
-		{sw.cacheKey(), "sweepreq/c98c0222896286460b68326ea829f739cd1bf37378ecb887aded4e4dac0a737f"},
-		{suite.cacheKey(), "suitereq/9a2efa70a815cf22f23be75481e4b847f8544c87a4cc18ed5b078b64c8020bb2"},
+		{run.cacheKey(), "run/3ccc6f73f6e0d1c441a40615dad59dfc8f9facc5b91f78b27adebd45a652a55c"},
+		{run.telemetryKey(), "telemetry/80aaa5515334606a02c56fb3c120dbe1380b2b39322c7acba9dbb654de3cdcca"},
+		{sw.cacheKey(), "sweepreq/d559b1837105b4b2efe31bda80595a4952d2eb5c7f59ccf584f1ef8b750d0300"},
+		{suite.cacheKey(), "suitereq/23d6194b3a68cce27db5620e44b545d80f3a99c1b1d2c810f3ce74974ecd7c18"},
 	} {
 		if c.got != c.want {
 			t.Errorf("key %s, want %s", c.got, c.want)
@@ -117,5 +117,30 @@ func TestSweepQuickSharesKeyOffSyncSpace(t *testing.T) {
 	}
 	if key(SweepRequest{Space: "sync", Quick: true}) == key(SweepRequest{Space: "sync"}) {
 		t.Error("sync: quick and full sweeps share a key")
+	}
+}
+
+// TestSuitePaperPolicySharesKey: a suite request naming the paper policy
+// shares the default's key, as a run request does, so the suite and every
+// experiment over it are computed and stored once.
+func TestSuitePaperPolicySharesKey(t *testing.T) {
+	plain := SuiteRequest{Window: 2_000}
+	named := plain
+	named.Policy = "paper"
+	np, err := plain.normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	nn, err := named.normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if np.cacheKey() != nn.cacheKey() {
+		t.Fatalf("policy \"paper\" keyed %s, default %s", nn.cacheKey(), np.cacheKey())
+	}
+	// With params, "paper" is not the default selection.
+	named.PolicyParams = "hysteresis=1"
+	if _, err := named.normalize(); err == nil {
+		t.Fatal("the paper policy accepted a parameter it does not declare")
 	}
 }

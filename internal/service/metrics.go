@@ -1,8 +1,10 @@
 package service
 
 import (
+	"maps"
 	"runtime/debug"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"gals/internal/core"
@@ -159,20 +161,9 @@ func (s *Service) initMetrics() {
 	r.NewFunc("gals_reconfigurations_total",
 		"On-line reconfigurations committed, by adaptation policy.",
 		"counter", func() []metrics.Sample {
-			byPol := core.ReconfigsByPolicy()
-			keys := make([]string, 0, len(byPol))
-			for k := range byPol {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			out := make([]metrics.Sample, 0, len(keys))
-			for _, k := range keys {
-				out = append(out, metrics.Sample{
-					Labels: []metrics.Label{{Key: "policy", Value: k}},
-					Value:  float64(byPol[k]),
-				})
-			}
-			return out
+			return reconfigSamples(func(c core.ReconfigCell) []metrics.Label {
+				return []metrics.Label{{Key: "policy", Value: c.Policy}}
+			})
 		})
 
 	// Run telemetry: artifact counters from the simulator-boundary atomics,
@@ -187,28 +178,9 @@ func (s *Service) initMetrics() {
 	r.NewFunc("gals_reconfig_events_total",
 		"Reconfiguration events committed, by structure and direction (all runs, telemetry or not).",
 		"counter", func() []metrics.Sample {
-			byCell := core.ReconfigEventsByCell()
-			cells := make([]core.ReconfigCell, 0, len(byCell))
-			for c := range byCell {
-				cells = append(cells, c)
-			}
-			sort.Slice(cells, func(i, j int) bool {
-				if cells[i].Structure != cells[j].Structure {
-					return cells[i].Structure < cells[j].Structure
-				}
-				return cells[i].Direction < cells[j].Direction
+			return reconfigSamples(func(c core.ReconfigCell) []metrics.Label {
+				return []metrics.Label{{Key: "structure", Value: c.Structure}, {Key: "direction", Value: c.Direction}}
 			})
-			out := make([]metrics.Sample, 0, len(cells))
-			for _, c := range cells {
-				out = append(out, metrics.Sample{
-					Labels: []metrics.Label{
-						{Key: "structure", Value: c.Structure},
-						{Key: "direction", Value: c.Direction},
-					},
-					Value: float64(byCell[c]),
-				})
-			}
-			return out
 		})
 	s.dwellHist = r.NewHistogramVec("gals_reconfig_dwell_intervals",
 		"Decision intervals a structure stayed in one configuration before reconfiguring (observed when telemetry artifacts persist).",
@@ -258,4 +230,28 @@ func buildInfo() (version, goVersion, revision string) {
 		}
 	}
 	return
+}
+
+// reconfigSamples sums the process-wide reconfiguration counts by the label
+// values labels gives each cell: one sample per distinct label set, in
+// order of their values.
+func reconfigSamples(labels func(core.ReconfigCell) []metrics.Label) []metrics.Sample {
+	sums := map[string]int64{}
+	byKey := map[string][]metrics.Label{}
+	for c, n := range core.ReconfigEvents() {
+		ls := labels(c)
+		var key strings.Builder
+		for _, l := range ls {
+			key.WriteString(l.Value)
+			key.WriteByte(0)
+		}
+		sums[key.String()] += n
+		byKey[key.String()] = ls
+	}
+	keys := slices.Sorted(maps.Keys(sums))
+	out := make([]metrics.Sample, 0, len(keys))
+	for _, k := range keys {
+		out = append(out, metrics.Sample{Labels: byKey[k], Value: float64(sums[k])})
+	}
+	return out
 }

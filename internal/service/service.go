@@ -267,13 +267,6 @@ func (s *Service) Shutdown(ctx context.Context, srv *http.Server) error {
 	return err
 }
 
-// Cache returns the persistent cache, or nil when persistence is disabled.
-func (s *Service) Cache() *resultcache.Cache { return s.cache }
-
-// Recordings returns the recording store, or nil when persistence is
-// disabled.
-func (s *Service) Recordings() *recstore.Store { return s.recs }
-
 // tracePool returns the shared per-window trace pool (a thin view over the
 // recording store), or nil when persistence is disabled — single runs then
 // generate live traces and sweeps build transient in-memory pools, exactly
@@ -508,10 +501,9 @@ func (r RunRequest) normalize() (RunRequest, error) {
 	if r.Mode == "" {
 		r.Mode = "phase"
 	}
-	switch r.Mode {
-	case "sync", "program", "phase":
-	default:
-		return r, fmt.Errorf("service: unknown mode %q (want sync, program or phase)", r.Mode)
+	// The mode is checked first; the I-cache name after the ranges.
+	if _, err := core.ParseMachine(r.Mode, ""); err != nil {
+		return r, fmt.Errorf("service: %v (want sync, program or phase)", err)
 	}
 	if r.Window == 0 {
 		r.Window = 100_000
@@ -540,12 +532,18 @@ func (r RunRequest) normalize() (RunRequest, error) {
 	if r.Mode != "sync" && r.ICache != "" {
 		r.ICache = cfg.ICache.String()
 	}
-	// An empty policy selects the paper controllers, so naming them
-	// without params or artifact shares the default's key.
-	if r.Policy == control.DefaultPolicy && r.PolicyParams == "" && r.PolicyBlob == "" {
-		r.Policy = ""
-	}
+	r.Policy = policyName(r.Policy, r.PolicyParams, r.PolicyBlob)
 	return r, nil
+}
+
+// policyName is a request's canonical policy name: an empty policy selects
+// the paper controllers, so naming them without params or artifact folds
+// into "" and shares the default's key.
+func policyName(policy, params, blob string) string {
+	if policy == control.DefaultPolicy && params == "" && blob == "" {
+		return ""
+	}
+	return policy
 }
 
 // machine resolves the normalized request into a runnable spec and config.
@@ -554,38 +552,9 @@ func (r RunRequest) machine() (workload.Spec, core.Config, error) {
 	if !ok {
 		return workload.Spec{}, core.Config{}, fmt.Errorf("service: unknown benchmark %q", r.Bench)
 	}
-	var cfg core.Config
-	switch r.Mode {
-	case "sync":
-		cfg = core.DefaultSync()
-		if r.ICache != "" {
-			idx, ok := timing.SyncICacheIndexByName(r.ICache)
-			if !ok {
-				return spec, cfg, fmt.Errorf("service: unknown sync i-cache %q", r.ICache)
-			}
-			cfg.SyncICache = idx
-		}
-	case "program", "phase":
-		mode := core.ProgramAdaptive
-		if r.Mode == "phase" {
-			mode = core.PhaseAdaptive
-		}
-		cfg = core.DefaultAdaptive(mode)
-		if r.ICache != "" {
-			found := false
-			for _, c := range timing.ICacheConfigs() {
-				if strings.EqualFold(c.String(), r.ICache) {
-					cfg.ICache = c
-					found = true
-					break
-				}
-			}
-			if !found {
-				return spec, cfg, fmt.Errorf("service: unknown adaptive i-cache %q", r.ICache)
-			}
-		}
-	default:
-		return spec, cfg, fmt.Errorf("service: unknown mode %q", r.Mode)
+	cfg, err := core.ParseMachine(r.Mode, r.ICache)
+	if err != nil {
+		return spec, cfg, fmt.Errorf("service: %w", err)
 	}
 	cfg.DCache = timing.DCacheConfig(r.DCache)
 	cfg.IntIQ = timing.IQSize(r.IntIQ)
@@ -1096,6 +1065,8 @@ func (r SuiteRequest) normalize() (SuiteRequest, error) {
 	return r, nil
 }
 
+// options is the pipeline's options for the request: its keys and its
+// computation both derive from them, so the paper policy's name folds here.
 func (r SuiteRequest) options() experiment.Options {
 	o := experiment.DefaultOptions()
 	if r.Window > 0 {
@@ -1110,7 +1081,7 @@ func (r SuiteRequest) options() experiment.Options {
 		o.Seed = r.Seed
 	}
 	o.JitterFrac = r.JitterFrac
-	o.Policy = r.Policy
+	o.Policy = policyName(r.Policy, r.PolicyParams, r.PolicyBlob)
 	o.PolicyParams = r.PolicyParams
 	o.PolicyBlob = r.PolicyBlob
 	return o

@@ -16,7 +16,6 @@ import (
 	"testing"
 	"time"
 
-	"gals/internal/experiment"
 	"gals/internal/resultcache"
 )
 
@@ -138,9 +137,9 @@ func TestConcurrentIdenticalRunsDedupeToOneSimulation(t *testing.T) {
 	}
 }
 
-// TestSuiteSecondInvocationServedFromDisk is the PR's acceptance check: a
-// second cmd/experiments-equivalent invocation (fresh process-local memo,
-// fresh service, same cache directory) must be served entirely from the
+// TestSuiteSecondInvocationServedFromDisk: a second
+// cmd/experiments-equivalent invocation (a fresh service, which opens the
+// same cache directory anew) must be served entirely from the
 // persistent cache — zero new pipeline computations, verified through the
 // same counter the stats endpoint reports.
 func TestSuiteSecondInvocationServedFromDisk(t *testing.T) {
@@ -165,9 +164,8 @@ func TestSuiteSecondInvocationServedFromDisk(t *testing.T) {
 	}
 	s1.Close()
 
-	// "Second process": drop the process-local memo, open a new service on
-	// the same directory.
-	experiment.ResetSuiteMemo()
+	// "Second process": a new service on the same directory opens its own
+	// cache, which the process-local memo keys apart from s1's.
 	s2 := newTestService(t, Config{CacheDir: dir})
 	sum2, err := s2.Suite(context.Background(), req)
 	if err != nil {
@@ -405,9 +403,6 @@ func TestTwoServicesIsolated(t *testing.T) {
 	sweepReq := func(window int64) SweepRequest {
 		return SweepRequest{Space: "adaptive", Bench: "gcc", Window: window}
 	}
-	// Distinct windows and a dropped memo keep the process-local suite memo
-	// out of the way.
-	experiment.ResetSuiteMemo()
 	for _, step := range []struct {
 		s      *Service
 		window int64
@@ -439,6 +434,39 @@ func TestTwoServicesIsolated(t *testing.T) {
 	}
 	if got := blobCount(t, dirA, "sweepsum"); got != 3 {
 		t.Errorf("closed service's %s gained blobs: %d sweep summaries, want 3", dirA, got)
+	}
+}
+
+// TestTwoServicesSameSuite: two services over separate directories sent
+// the same suite request each load or compute it and persist it in their
+// own directory; the process-local suite memo does not serve one service
+// the other's result.
+func TestTwoServicesSameSuite(t *testing.T) {
+	if testing.Short() {
+		t.Skip("suite pipeline in -short mode")
+	}
+	dirA, dirB := t.TempDir(), t.TempDir()
+	a := newTestService(t, Config{CacheDir: dirA, Workers: 2})
+	b := newTestService(t, Config{CacheDir: dirB, Workers: 2})
+	req := SuiteRequest{Window: 400}
+	sumA, err := a.Suite(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sumB, err := b.Suite(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(sumA, sumB) {
+		t.Fatal("the two services returned different suites")
+	}
+	// The suite, its synchronous and adaptive sweeps, and its phase runs.
+	for _, dir := range []string{dirA, dirB} {
+		for kind, want := range map[string]int{"suite": 1, "sweepsum": 2, "phase": 1} {
+			if got := blobCount(t, dir, kind); got != want {
+				t.Errorf("%s holds %d %s blobs, want %d", dir, got, kind, want)
+			}
+		}
 	}
 }
 

@@ -411,10 +411,10 @@ func TestMeasureKeyEnvNeutral(t *testing.T) {
 	withEnv := bare
 	withEnv.Env = Env{Cache: c, Recordings: recs}
 	want := map[string]string{
-		"sweepsum":  "sweepsum/6a0480ee1276edd77ffa0bbf04998b012fa9aa4dce8d4dff1ef87f7a90bf8212",
-		"sweepckpt": "sweepckpt/b9e1cdd932b90417dd00d448a18c8fda8f6242bdf58fb09b82d2231a55287ff3",
-		"phase":     "phase/f87ff0596efe5b18aa59fa33101e29c99ffcca2db091dccf1f540509e7d4f991",
-		"phaseckpt": "phaseckpt/28f061b567f451884904cb3cc16d81b3593fe671aff19595ca5fb44bc4330c7b",
+		"sweepsum":  "sweepsum/0e9b87d59ee6ee147a1f47dcca698711277efa34a5df5a809e2d2b7ce1acb338",
+		"sweepckpt": "sweepckpt/69f809d43cdd5eee4f7fbddcc4cac96916779ad290074a4281e62fb00bf314e4",
+		"phase":     "phase/1db6f9e079872151b9d82b80c52f6c23d9dcbb3d7305dbb3637a344f4b72b406",
+		"phaseckpt": "phaseckpt/9f5b75b81d5ebbe6e3b9a7d1f20a148e0b6af8644057b291d1854ec1bdd5b41c",
 	}
 	for _, o := range []Options{bare, withEnv} {
 		for kind, w := range want {
@@ -432,14 +432,14 @@ func TestMeasureKeyEnvNeutral(t *testing.T) {
 	pol := Options{Window: 1500, Policy: "interval", PolicyParams: "interval=7500"}.WithDefaults()
 	specs, cfgs = workload.Suite()[:2], AdaptiveSpace()[:4]
 	for kind, w := range map[string]string{
-		"sweepsum":  "sweepsum/0c546ef38d0fcd15b13cfb3a3e8fea19fd60a93203dbbded81de8d6a8e0d0697",
-		"sweepckpt": "sweepckpt/5151d6f06891cae77aa5cab6f2139931a1c0772a666710d72e60082a6dd969c9",
+		"sweepsum":  "sweepsum/cb243b563cb01cc3d279c590f9e3241ca101f196b19a5fe6aa67db118c603f9e",
+		"sweepckpt": "sweepckpt/60278c765db1c5d39787ac9aee66432019d04c9479a94bfc6f981e727864d55c",
 	} {
 		if got := pol.measureKey(kind, specs, cfgs); got != w {
 			t.Errorf("policy %s key %s, want %s", kind, got, w)
 		}
 	}
-	if got, w := pol.measureKey("phase", specs, nil), "phase/40aef78b17e2ef33c1a0d2ff5332ef710a0735b3169f7162f8bd220cfea29118"; got != w {
+	if got, w := pol.measureKey("phase", specs, nil), "phase/fad26a38d5b367864c29cf2819b9591cf7f5c2243858c5121d3244c537742ea3"; got != w {
 		t.Errorf("policy phase key %s, want %s", got, w)
 	}
 }
