@@ -291,7 +291,7 @@ func (c *Clock) edgeAtOrAfterRare(t timing.FS) timing.FS {
 func (c *Clock) edgeAtOrAfterSlow(t timing.FS) timing.FS {
 	e := c.epochAt(t)
 	if t <= e.start {
-		return e.start
+		return c.edgeTime(e, 0)
 	}
 	n := uint64((t - e.start) / e.period)
 	// Jitter can move edges slightly in either direction; probe around the

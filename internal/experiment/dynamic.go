@@ -109,6 +109,9 @@ func SuiteComputations() int64 { return suiteComputes.Load() }
 func RunSuite(o Options) (*SuiteResult, error) {
 	o = o.normalized()
 	memo := o.memoKey()
+	if !resultcache.Comparable(o.Env.Cache) {
+		return computeSuite(o, memo)
+	}
 	r, _, err := suites.Do(o.Ctx, suiteMemoKey{memo, o.Env.Cache}, func(context.Context) (*SuiteResult, error) {
 		return computeSuite(o, memo)
 	})
@@ -189,6 +192,9 @@ func computeSuite(o, memo Options) (*SuiteResult, error) {
 // cachedSuite returns the memoized suite for o, or nil without computing
 // or waiting for anything.
 func cachedSuite(o Options) *SuiteResult {
+	if !resultcache.Comparable(o.Env.Cache) {
+		return nil
+	}
 	r, _ := suites.Peek(suiteMemoKey{o.memoKey(), o.Env.Cache})
 	return r
 }

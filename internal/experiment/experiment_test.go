@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"strings"
 	"sync"
@@ -288,6 +289,62 @@ func TestSuiteKeyEnvNeutral(t *testing.T) {
 		if got := resultcache.Key("suite", o.memoKey()); got != want {
 			t.Errorf("suite key %s, want %s", got, want)
 		}
+	}
+}
+
+// mapStore is a map-backed resultcache.Store. Its dynamic type is not
+// comparable, so it cannot be part of the suite memo's key.
+type mapStore struct {
+	mu *sync.Mutex
+	m  map[string][]byte
+}
+
+func (s mapStore) Load(key string, v any) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	b, ok := s.m[key]
+	return ok && json.Unmarshal(b, v) == nil
+}
+
+func (s mapStore) Store(key string, v any) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.m[key] = b
+}
+
+// TestSuiteMapStore: a suite persisting to a store whose type cannot key
+// the process-local memo runs without the memo: it computes once, persists
+// to that store, and a repeat loads from it.
+func TestSuiteMapStore(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sweep pipeline in -short mode")
+	}
+	store := mapStore{mu: new(sync.Mutex), m: map[string][]byte{}}
+	o := Options{Window: 1_100, PLLScale: 0.1, Seed: 42, Env: sweep.Env{Cache: store}}
+	before := SuiteComputations()
+	r, err := RunSuite(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := store.m[resultcache.Key("suite", o.memoKey())]; !ok {
+		t.Fatal("the suite did not persist to its store")
+	}
+	if cachedSuite(o) != nil {
+		t.Error("a suite over an uncomparable store was memoized")
+	}
+	again, err := RunSuite(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := SuiteComputations() - before; got != 1 {
+		t.Errorf("two runs over one store computed the suite %d times, want 1", got)
+	}
+	if again.MeanPhase != r.MeanPhase || again.MeanProg != r.MeanProg {
+		t.Error("the suite loaded from the store differs from the computed one")
 	}
 }
 

@@ -1,8 +1,10 @@
 package learn
 
 import (
+	"encoding/json"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"gals/internal/control"
@@ -182,6 +184,52 @@ func TestArtifactSidecar(t *testing.T) {
 	}
 	if !other.Has(ArtifactKey(o)) {
 		t.Fatal("the second directory holds no sidecar")
+	}
+}
+
+// mapStore is a map-backed resultcache.Store. Its dynamic type is not
+// comparable, so it cannot be part of the artifact memo's key.
+type mapStore struct {
+	mu *sync.Mutex
+	m  map[string][]byte
+}
+
+func (s mapStore) Load(key string, v any) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	b, ok := s.m[key]
+	return ok && json.Unmarshal(b, v) == nil
+}
+
+func (s mapStore) Store(key string, v any) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.m[key] = b
+}
+
+// TestArtifactMapStore: an artifact persisting to a store whose type cannot
+// key the process-local memo is trained without the memo and written to
+// that store as its sidecar.
+func TestArtifactMapStore(t *testing.T) {
+	store := mapStore{mu: new(sync.Mutex), m: map[string][]byte{}}
+	o := TrainOptions{Window: 6_000}
+	blob, err := Artifact(sweep.Env{Cache: store}, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m Model
+	if !store.Load(ArtifactKey(o), &m) {
+		t.Fatal("the map store holds no sidecar for the artifact")
+	}
+	if sidecar, err := m.Encode(); err != nil || sidecar != blob {
+		t.Fatalf("sidecar: err %v, same bytes as the artifact %v", err, sidecar == blob)
+	}
+	if again, err := Artifact(sweep.Env{Cache: store}, o); err != nil || again != blob {
+		t.Fatalf("artifact from the map store: err %v, same bytes %v", err, again == blob)
 	}
 }
 

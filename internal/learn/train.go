@@ -227,6 +227,9 @@ func ArtifactKey(o TrainOptions) string {
 // decodes and re-encodes to exactly the trained bytes.
 func Artifact(env sweep.Env, o TrainOptions) (string, error) {
 	key := ArtifactKey(o)
+	if !resultcache.Comparable(env.Cache) {
+		return trainArtifact(env, o, key)
+	}
 	blob, _, err := artifacts.Do(nil, artifactMemoKey{key, env.Cache}, func(context.Context) (string, error) {
 		return trainArtifact(env, o, key)
 	})

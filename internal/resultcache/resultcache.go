@@ -25,6 +25,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -67,6 +68,15 @@ const SchemaVersion = "gals-results-v4"
 type Store interface {
 	Load(key string, v any) bool
 	Store(key string, v any)
+}
+
+// Comparable reports whether s can be part of a map key. The process-local
+// memos keyed per store (experiment's suites, learn's policy artifacts)
+// hash the store's dynamic value, which panics for an uncomparable one (a
+// map-backed store, say), so for such a store they compute without the
+// memo.
+func Comparable(s Store) bool {
+	return s == nil || reflect.ValueOf(s).Comparable()
 }
 
 // Remover is the optional deletion side of a Store. Consumers that garbage-

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"cmp"
 	"maps"
 	"runtime/debug"
 	"slices"
@@ -161,8 +162,8 @@ func (s *Service) initMetrics() {
 	r.NewFunc("gals_reconfigurations_total",
 		"On-line reconfigurations committed, by adaptation policy.",
 		"counter", func() []metrics.Sample {
-			return reconfigSamples(func(c core.ReconfigCell) []metrics.Label {
-				return []metrics.Label{{Key: "policy", Value: c.Policy}}
+			return reconfigSamples(func(c core.ReconfigCell) core.ReconfigCell {
+				return core.ReconfigCell{Policy: c.Policy}
 			})
 		})
 
@@ -178,8 +179,8 @@ func (s *Service) initMetrics() {
 	r.NewFunc("gals_reconfig_events_total",
 		"Reconfiguration events committed, by structure and direction (all runs, telemetry or not).",
 		"counter", func() []metrics.Sample {
-			return reconfigSamples(func(c core.ReconfigCell) []metrics.Label {
-				return []metrics.Label{{Key: "structure", Value: c.Structure}, {Key: "direction", Value: c.Direction}}
+			return reconfigSamples(func(c core.ReconfigCell) core.ReconfigCell {
+				return core.ReconfigCell{Structure: c.Structure, Direction: c.Direction}
 			})
 		})
 	s.dwellHist = r.NewHistogramVec("gals_reconfig_dwell_intervals",
@@ -232,26 +233,28 @@ func buildInfo() (version, goVersion, revision string) {
 	return
 }
 
-// reconfigSamples sums the process-wide reconfiguration counts by the label
-// values labels gives each cell: one sample per distinct label set, in
-// order of their values.
-func reconfigSamples(labels func(core.ReconfigCell) []metrics.Label) []metrics.Sample {
-	sums := map[string]int64{}
-	byKey := map[string][]metrics.Label{}
+// reconfigSamples sums the process-wide reconfiguration counts over the
+// cells project maps together: one sample per projected cell, in cell
+// order, labelled by the cell's non-empty fields.
+func reconfigSamples(project func(core.ReconfigCell) core.ReconfigCell) []metrics.Sample {
+	sums := map[core.ReconfigCell]int64{}
 	for c, n := range core.ReconfigEvents() {
-		ls := labels(c)
-		var key strings.Builder
-		for _, l := range ls {
-			key.WriteString(l.Value)
-			key.WriteByte(0)
-		}
-		sums[key.String()] += n
-		byKey[key.String()] = ls
+		sums[project(c)] += n
 	}
-	keys := slices.Sorted(maps.Keys(sums))
-	out := make([]metrics.Sample, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, metrics.Sample{Labels: byKey[k], Value: float64(sums[k])})
+	cells := slices.SortedFunc(maps.Keys(sums), func(a, b core.ReconfigCell) int {
+		return cmp.Or(strings.Compare(a.Policy, b.Policy),
+			strings.Compare(a.Structure, b.Structure),
+			strings.Compare(a.Direction, b.Direction))
+	})
+	out := make([]metrics.Sample, 0, len(cells))
+	for _, c := range cells {
+		var labels []metrics.Label
+		for _, l := range []metrics.Label{{Key: "policy", Value: c.Policy}, {Key: "structure", Value: c.Structure}, {Key: "direction", Value: c.Direction}} {
+			if l.Value != "" {
+				labels = append(labels, l)
+			}
+		}
+		out = append(out, metrics.Sample{Labels: labels, Value: float64(sums[c])})
 	}
 	return out
 }

@@ -21,11 +21,24 @@ func sumFamily(sc *metrics.Scrape, name string) float64 {
 	return total
 }
 
+// sumLabelled totals the samples of one metric family whose label key has
+// the given value.
+func sumLabelled(sc *metrics.Scrape, name, key, value string) float64 {
+	var total float64
+	for _, s := range sc.Samples {
+		if s.Name == name && s.Labels[key] == value {
+			total += s.Value
+		}
+	}
+	return total
+}
+
 // TestTelemetryEndToEnd drives the whole artifact path over real HTTP
 // (run under -race in CI): a "telemetry":true run returns a digest, the
 // artifact fetched by that digest reconciles its event counts exactly with
-// the run's Stats.Reconfigs AND with the gals_reconfig_events_total scrape
-// delta, and the cached re-issue of the same request round-trips the same
+// the run's Stats.Reconfigs AND with the scrape deltas of
+// gals_reconfig_events_total and of gals_reconfigurations_total under the
+// run's policy, and the cached re-issue of the same request round-trips the same
 // digest without recomputing.
 func TestTelemetryEndToEnd(t *testing.T) {
 	s := newTestService(t, Config{CacheDir: t.TempDir(), Workers: 2})
@@ -71,6 +84,16 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	delta := sumFamily(after, "gals_reconfig_events_total") - sumFamily(before, "gals_reconfig_events_total")
 	if int64(delta) != run.Stats.Reconfigs {
 		t.Errorf("gals_reconfig_events_total moved by %.0f, Stats.Reconfigs = %d", delta, run.Stats.Reconfigs)
+	}
+	// The per-policy series counts the same events once each, all under
+	// the default phase run's policy label.
+	delta = sumFamily(after, "gals_reconfigurations_total") - sumFamily(before, "gals_reconfigurations_total")
+	if int64(delta) != run.Stats.Reconfigs {
+		t.Errorf("gals_reconfigurations_total moved by %.0f, Stats.Reconfigs = %d", delta, run.Stats.Reconfigs)
+	}
+	delta = sumLabelled(after, "gals_reconfigurations_total", "policy", "paper") - sumLabelled(before, "gals_reconfigurations_total", "policy", "paper")
+	if int64(delta) != run.Stats.Reconfigs {
+		t.Errorf(`gals_reconfigurations_total{policy="paper"} moved by %.0f, Stats.Reconfigs = %d`, delta, run.Stats.Reconfigs)
 	}
 	// Per-structure counts in the artifact must cover every committed event.
 	var byStructure int64

@@ -10,11 +10,11 @@
 # nothing). Exceptions live in scripts/deadcode.allow, one symbol and its
 # reason per line.
 #
-# Usage: scripts/deadcode.sh [allowlist]   (run from the repository root)
+# Usage: scripts/deadcode.sh   (run from the repository root)
 set -euo pipefail
 
 GO=${GO:-go}
-allow=${1:-scripts/deadcode.allow}
+allow=scripts/deadcode.allow
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
