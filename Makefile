@@ -10,7 +10,7 @@ BENCHOUT  ?= BENCH_latest.txt
 MEMWINDOW ?= 60000
 MEMCACHE  ?= /tmp/gals-bench-mem-cache
 
-.PHONY: all build test test-short race vet allocs inline deadcode parity determinism chaos crash fuzz obs bench bench-json bench-suite bench-mem bench-smoke bench-e2e-smoke loc ci
+.PHONY: all build test test-short race vet allocs inline deadcode parity fidelity determinism chaos crash fuzz obs bench bench-json bench-suite bench-mem bench-smoke bench-e2e-smoke loc ci
 
 all: build
 
@@ -55,11 +55,12 @@ inline:
 	done
 
 # Dead-code gate (also a CI step): fails when a function declared in a
-# non-test file under internal/ is linked into no main package (cmd/*,
-# examples/* and bench/galsbench), i.e. only tests call it. Every main
-# package is built with inlining off and its `go tool nm` symbols compared
-# with the declarations; scripts/deadcode.allow lists the exceptions (the
-# API that gals.go aliases, String methods), one reason per line.
+# non-test file of a library package (internal/*, the public package gals
+# and client/) is linked into no main package (cmd/*, examples/* and
+# bench/galsbench), i.e. only tests call it. Every main package is built
+# with inlining off and its `go tool nm` symbols compared with the
+# declarations; scripts/deadcode.allow lists the exceptions (String
+# methods, client.RunBatch), one reason per line.
 deadcode:
 	GO=$(GO) ./scripts/deadcode.sh
 
@@ -68,6 +69,15 @@ deadcode:
 # traces and rendered figure6/table9/figure7 outputs.
 parity:
 	$(GO) test -run Parity -race ./internal/control/... ./internal/core/... ./internal/experiment/...
+
+# Paper-fidelity gate (also a CI step): computes Figure 6 at a 60K window
+# (about 90 s on 2 vCPUs) and asserts the signs of the paper's result:
+# phase-adaptive >= program-adaptive > 0 on the suite mean, and a
+# phase-adaptive gain on each memory-phase benchmark. The test sits behind
+# the fidelity build tag, so `go test ./...` never builds it; it runs
+# without -race.
+fidelity:
+	$(GO) test -tags fidelity -run Fidelity ./internal/experiment
 
 # Learned-policy determinism gate (also a CI step): same seed + same
 # persisted weights artifact => bit-identical reconfiguration traces.
@@ -144,12 +154,13 @@ bench-json:
 bench-suite:
 	$(GO) test -run '^$$' -bench 'BenchmarkFigure6$$' -benchtime 1x . | tee BENCH_suite.txt
 
-# Memory-scaling report for a fixed pruned synchronous sweep: peak Go heap
+# Memory-scaling report for Figure 6 (quick synchronous space, adaptive
+# space, Phase-Adaptive runs; the default experiment options): peak Go heap
 # and peak RSS (the delta is the mmap'd recording store's file-backed
 # pages). Fresh cache dir each run so the recording cost is included.
 bench-mem:
 	rm -rf $(MEMCACHE)
-	$(GO) run ./cmd/sweep -quick -window $(MEMWINDOW) -cache $(MEMCACHE) -memstats
+	$(GO) run ./cmd/experiments -run figure6 -window $(MEMWINDOW) -cache $(MEMCACHE) -memstats
 
 # One-iteration pass over every benchmark so they cannot rot (the CI job).
 # The shrunken window keeps the suite-pipeline benchmarks to smoke scale.

@@ -21,6 +21,7 @@ import (
 	"gals/internal/bpred"
 	"gals/internal/cache"
 	"gals/internal/core"
+	"gals/internal/experiment"
 	"gals/internal/isa"
 	"gals/internal/service"
 	"gals/internal/timing"
@@ -79,10 +80,10 @@ func BenchmarkTable8(b *testing.B)  { runExperimentBench(b, "table8") }
 func BenchmarkFigure6(b *testing.B) {
 	o := DefaultExperimentOptions()
 	o.Window = benchWindow()
-	var r *SuiteResult
+	var r *experiment.SuiteResult
 	var err error
 	for i := 0; i < b.N; i++ {
-		r, err = EvaluateSuite(o)
+		r, err = experiment.RunSuite(o)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"gals/internal/core"
-	"gals/internal/experiment"
 	"gals/internal/service"
 )
 
@@ -279,15 +278,6 @@ func (c *Client) Suite(ctx context.Context, req SuiteRequest) (SuiteSummary, err
 	var out SuiteSummary
 	err := c.do(ctx, http.MethodPost, "/v1/suite", req, &out)
 	return out, err
-}
-
-// Experiment regenerates one table or figure via POST /v1/experiment.
-func (c *Client) Experiment(ctx context.Context, req service.ExperimentRequest) (*experiment.Table, error) {
-	var out experiment.Table
-	if err := c.do(ctx, http.MethodPost, "/v1/experiment", req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
 }
 
 // do runs one API call under the full retry discipline.

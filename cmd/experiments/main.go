@@ -10,6 +10,7 @@
 //	experiments -run controllers # paper vs feedback vs learned, per benchmark
 //	experiments -run figure6 -policy interval -policy-params interval=7500
 //	experiments -run figure6 -policy learned -policy-blob weights.json
+//	experiments -run figure6 -window 60000 -cache dir -memstats  # peak heap/RSS
 package main
 
 import (
@@ -41,6 +42,7 @@ func main() {
 		policy  = flag.String("policy", "", "adaptation policy for the Phase-Adaptive stages (paper, interval, frozen, feedback, learned); empty = paper")
 		polPar  = flag.String("policy-params", "", "policy parameters as key=value[,key=value...]")
 		polBlob = flag.String("policy-blob", "", "weights-artifact file for blob-requiring policies (galsim -train-policy writes one; the controllers experiment trains its own when omitted)")
+		mem     = flag.Bool("memstats", false, "report peak heap and peak RSS after the experiments")
 	)
 	flag.Parse()
 
@@ -110,6 +112,9 @@ func main() {
 		}
 	}
 
+	if *mem {
+		defer startHeapSampler()()
+	}
 	for _, id := range ids {
 		id = strings.TrimSpace(id)
 		start := time.Now()

@@ -2,7 +2,7 @@
 // batched runs, design-space sweeps and experiment regeneration, backed by
 // a bounded priority worker pool, singleflight deduplication of identical
 // concurrent requests, and a persistent on-disk result cache shared with
-// cmd/experiments and cmd/sweep.
+// cmd/experiments.
 //
 // Usage:
 //

@@ -143,8 +143,7 @@ func main() {
 	cfg.JitterFrac = *jitter
 	cfg.PLLScale = *pll
 	cfg.RecordTrace = *doTrace
-	cfg.Policy = *policy
-	cfg.PolicyParams = *polPar
+	cfg = cfg.WithPolicy(*policy, *polPar)
 	if *polBlob != "" {
 		blob, err := os.ReadFile(*polBlob)
 		if err != nil {

@@ -1,10 +1,11 @@
 // Phasetrace reproduces the behaviour of paper Figure 7: it runs the
 // Phase-Adaptive machine on apsi (periodic data working-set phases) and on
 // art (periodic ILP phases) and renders each structure's configuration
-// over time as an ASCII step plot.
+// over time as an ASCII step plot, read from the run's telemetry.
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -25,9 +26,9 @@ func trace(bench, kind string, labels []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := gals.DefaultPhaseAdaptive()
-	cfg.RecordTrace = true
-	res, err := gals.Run(spec, cfg, window)
+	tel := gals.NewTelemetry()
+	_, err = gals.RunWith(context.Background(), spec.NewTrace(), gals.DefaultPhaseAdaptive(), window,
+		gals.RunOptions{Telemetry: tel})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -37,13 +38,13 @@ func trace(bench, kind string, labels []string) {
 	const buckets = 72
 	timeline := make([]int, buckets)
 	level := 0
-	events := res.Stats.ReconfigEvents
+	events := tel.Events
 	next := 0
 	for b := 0; b < buckets; b++ {
 		instr := int64(b) * window / buckets
 		for next < len(events) && events[next].Instr <= instr {
-			if events[next].Kind == kind {
-				level = events[next].Index
+			if events[next].Structure == kind {
+				level = events[next].To
 			}
 			next++
 		}
@@ -63,11 +64,5 @@ func trace(bench, kind string, labels []string) {
 		fmt.Printf("%16s |%s|\n", labels[lvl], b.String())
 	}
 	fmt.Printf("%16s  0%*s%d\n", "instructions", buckets-1, "", window)
-	count := 0
-	for _, e := range events {
-		if e.Kind == kind {
-			count++
-		}
-	}
-	fmt.Printf("%d %s reconfigurations in the window\n", count, kind)
+	fmt.Printf("%d %s reconfigurations in the window\n", tel.EventsByStructure()[kind], kind)
 }

@@ -8,20 +8,21 @@
 //
 // The package is a facade over the internal implementation:
 //
-//   - Workloads() lists the deterministic synthetic models of the paper's
-//     40 benchmark runs (MediaBench / Olden / SPEC2000, Tables 6-8).
+//   - Workload() finds one of the deterministic synthetic models of the
+//     paper's 40 benchmark runs (MediaBench / Olden / SPEC2000, Tables 6-8).
 //   - Run() executes one benchmark on one machine configuration
 //     (Synchronous, ProgramAdaptive, or PhaseAdaptive).
 //   - Experiments()/RunExperiment() regenerate every table and figure of
-//     the paper's evaluation.
-//   - BestSynchronous(), ProgramAdaptiveSearch() and EvaluateSuite()
-//     expose the design-space sweeps of Section 4. Each returns an error
-//     instead of a result when SweepOptions.Ctx (or ExperimentOptions.Ctx)
-//     ends the sweep.
-//   - Policies() lists the pluggable adaptation policies (the paper's
-//     controllers, a parameterized variant, and a frozen baseline);
-//     Config.WithPolicy selects one, making the control algorithm itself a
-//     sweepable design-space dimension.
+//     the paper's evaluation; RunExperiment("figure6") runs the
+//     design-space sweeps of Section 4 behind the headline comparison.
+//     ProgramAdaptiveSearch() runs one benchmark's adaptive search. Each
+//     returns an error instead of a result when ExperimentOptions.Ctx (or
+//     SweepOptions.Ctx) ends the sweep.
+//   - ValidatePolicySelection() checks a pluggable adaptation policy
+//     selection (the paper's controllers, parameterized and learned
+//     variants, and a frozen baseline; galsd's GET /v1/policies lists
+//     them); Config.WithPolicy selects one, making the control algorithm
+//     itself a sweepable design-space dimension.
 //
 // A minimal session:
 //
@@ -38,13 +39,13 @@
 //     model from the recording's second such run on: the recording keeps
 //     its configuration-independent functional work (cache MRU positions,
 //     branch predictions, ILP samples) as a stream, bit-identically.
-//   - NewTracePool() shares recordings across sweeps: assign the pool to
-//     SweepOptions.Traces so BestSynchronous and ProgramAdaptiveSearch
-//     replay one recording per benchmark instead of regenerating it for
-//     every one of their thousands of configuration runs.
-//   - EvaluateSuite()/RunExperiment() memoize the whole evaluation
-//     pipeline per ExperimentOptions: after figure6, table9 and figure7
-//     are served from the same sweep without re-simulating anything.
+//   - Env.Pool() shares recordings across sweeps: assign the pool to
+//     SweepOptions.Traces so ProgramAdaptiveSearch replays one recording
+//     per benchmark instead of regenerating it for every one of its
+//     configuration runs.
+//   - RunExperiment() memoizes the whole evaluation pipeline per
+//     ExperimentOptions: after figure6, table9 and figure7 are served from
+//     the same sweep without re-simulating anything.
 //   - Clock-edge arithmetic takes a pure-integer fast path whenever
 //     Config.JitterFrac is 0 (the default); enable jitter only when the
 //     run needs it.
@@ -63,7 +64,6 @@ import (
 	"gals/internal/control"
 	"gals/internal/core"
 	"gals/internal/experiment"
-	"gals/internal/learn"
 	"gals/internal/recstore"
 	"gals/internal/resultcache"
 	"gals/internal/sweep"
@@ -101,10 +101,8 @@ type (
 	ExperimentTable = experiment.Table
 	// ExperimentOptions scale the dynamic experiments.
 	ExperimentOptions = experiment.Options
-	// SuiteResult is the full Figure-6 evaluation pipeline output.
-	SuiteResult = experiment.SuiteResult
 	// SweepOptions control design-space sweeps. Set Traces to a shared
-	// TracePool to replay one recording per benchmark across sweeps.
+	// pool (Env.Pool) to replay one recording per benchmark across sweeps.
 	SweepOptions = sweep.Options
 	// SweepSummary is a sweep's streaming aggregation: best-overall and
 	// per-application winners in O(configs + benchmarks) memory.
@@ -123,29 +121,16 @@ type (
 	// Recording is an immutable recorded benchmark trace, replayable
 	// concurrently and bit-identical to live generation.
 	Recording = workload.Recording
-	// TracePool shares one Recording per benchmark across runs and sweeps.
-	TracePool = workload.Pool
 	// RecordingStore persists recordings as mmap-replayed binary slabs.
 	RecordingStore = recstore.Store
 	// ICacheConfig, DCacheConfig and IQSize name structure configurations.
 	ICacheConfig = timing.ICacheConfig
 	DCacheConfig = timing.DCacheConfig
 	IQSize       = timing.IQSize
-	// PolicyInfo describes one registered adaptation policy (name,
-	// description, accepted parameters); see Policies.
-	PolicyInfo = control.Info
-	// PolicyParamInfo describes one policy parameter.
-	PolicyParamInfo = control.ParamInfo
 	// PolicySetting pairs a policy name with a parameter assignment (and,
 	// for blob-requiring policies, a weights artifact) for policy-axis
 	// sweeps (sweep.PhaseSpace, POST /v1/sweep space "phase").
 	PolicySetting = sweep.PolicySetting
-	// PolicyModel is the learned policy's weights artifact in decoded form.
-	PolicyModel = learn.Model
-	// PolicyTrainOptions scale the learned-policy training pipeline.
-	PolicyTrainOptions = learn.TrainOptions
-	// PolicyTrainStats report one training-pipeline execution.
-	PolicyTrainStats = learn.TrainStats
 )
 
 // Machine modes.
@@ -172,63 +157,16 @@ func DefaultPhaseAdaptive() Config {
 	return cfg
 }
 
-// Policies lists the registered adaptation policies in registration order:
-// "paper" (the exact Section 3 controllers — the default), "interval" (the
-// same controllers with the decision interval and hysteresis as
-// parameters), "frozen" (never reconfigures; the MCD-overhead-only
-// baseline), "feedback" (a PI closed-loop controller with gains, setpoints
-// and anti-windup clamps as parameters) and "learned" (a deterministic
-// linear predictor whose weights are a trained blob artifact — see
-// TrainPolicy). Select one on a configuration with Config.WithPolicy; the
-// selection, its parameters and its artifact digest are part of every
-// result-cache key.
-func Policies() []PolicyInfo { return control.Infos() }
-
-// ValidatePolicy reports whether name/params select a registered adaptation
-// policy with a well-formed parameter assignment ("" selects the paper
-// default). Config.Validate applies the same check; this form lets CLIs and
-// services reject a selection before building machines.
-func ValidatePolicy(name, params string) error { return control.Validate(name, params) }
-
-// ValidatePolicySelection is ValidatePolicy extended with the blob
-// artifact: blob-requiring policies (learned) fail without one, non-blob
+// ValidatePolicySelection reports whether name/params/blob select a
+// registered adaptation policy ("" selects the paper default) with a
+// well-formed parameter assignment and artifact: blob-requiring policies
+// (learned; galsim -train-policy writes one) fail without one, non-blob
 // policies fail with one, and a malformed artifact fails its policy's
-// validation.
+// validation. Config.Validate applies the same check; this form lets CLIs
+// and services reject a selection before building machines.
 func ValidatePolicySelection(name, params, blob string) error {
 	return control.ValidateSelection(name, params, blob)
 }
-
-// PolicyBlobDigest returns the canonical digest of a policy weights
-// artifact — the identity under which it enters cache and memo keys.
-func PolicyBlobDigest(blob string) string { return control.BlobDigest(blob) }
-
-// TrainPolicy runs the learned-policy training pipeline: the paper's
-// controllers are observed over recorded phase runs of the whole benchmark
-// suite and the "learned" policy's linear heads are fitted to imitate their
-// decisions. The returned blob is the canonical weights artifact — pass it
-// via Config.PolicyBlob (policy "learned"), PolicySetting.Blob, or the
-// service's policy_blob request fields. Training is deterministic: equal
-// options produce bit-identical artifacts.
-func TrainPolicy(o PolicyTrainOptions) (blob string, stats PolicyTrainStats, err error) {
-	m, stats, err := learn.Train(sweep.Env{}, o)
-	if err != nil {
-		return "", stats, err
-	}
-	blob, err = m.Encode()
-	return blob, stats, err
-}
-
-// PolicyArtifact returns the weights artifact for the training options,
-// training at most once per identity: artifacts are memoized in-process and
-// persisted as sidecar entries in env's result cache (see OpenCache; the
-// zero Env keeps them in memory), so repeated evaluations — and other
-// processes sharing the cache directory — reuse one trained model.
-func PolicyArtifact(env Env, o PolicyTrainOptions) (string, error) {
-	return learn.Artifact(env, o)
-}
-
-// Workloads returns the benchmark suite in the paper's Figure 6 order.
-func Workloads() []WorkloadSpec { return workload.Suite() }
 
 // Workload finds a benchmark run by name (e.g. "gcc", "adpcm decode").
 func Workload(name string) (WorkloadSpec, error) {
@@ -278,16 +216,6 @@ func RecordWorkload(spec WorkloadSpec, n int64) (*Recording, error) {
 	return spec.Record(n), nil
 }
 
-// NewTracePool creates a pool that records each benchmark once at the given
-// window and shares the recording with every requester (sweeps, repeated
-// runs). Assign it to SweepOptions.Traces.
-func NewTracePool(window int64) (*TracePool, error) {
-	if window <= 0 {
-		return nil, fmt.Errorf("gals: non-positive pool window %d", window)
-	}
-	return workload.NewPool(window), nil
-}
-
 // Experiments lists the regenerable tables and figures in paper order.
 func Experiments() []string { return experiment.IDs() }
 
@@ -299,27 +227,12 @@ func RunExperiment(id string, o ExperimentOptions) (*ExperimentTable, error) {
 // DefaultExperimentOptions match the runs recorded in EXPERIMENTS.md.
 func DefaultExperimentOptions() ExperimentOptions { return experiment.DefaultOptions() }
 
-// EvaluateSuite runs the full Figure-6 pipeline: best-synchronous search,
-// per-application Program-Adaptive search, and Phase-Adaptive runs. The
-// pipeline is memoized per (normalized) options within the process, and
-// figure6/table9/figure7 are derived from the same memo entry, so repeated
-// evaluations cost one map lookup.
-func EvaluateSuite(o ExperimentOptions) (*SuiteResult, error) {
-	return experiment.RunSuite(o)
-}
-
-// SuiteComputations reports how many times the evaluation pipeline has
-// actually executed (rather than being served from the memo). Useful for
-// verifying that a sequence of experiments shared one sweep.
-func SuiteComputations() int64 { return experiment.SuiteComputations() }
-
 // OpenCache opens the on-disk result cache at dir and the recording store
 // under it (<dir>/recordings) as an Env. With it set on
-// ExperimentOptions.Env or SweepOptions.Env, EvaluateSuite, RunExperiment,
-// BestSynchronous and ProgramAdaptiveSearch reload identical prior work
-// from disk instead of re-simulating, across processes, and replay each
-// benchmark from mmap'd file-backed pages recorded at most once per
-// directory. Entries are keyed by the normalized request plus a schema
+// ExperimentOptions.Env or SweepOptions.Env, RunExperiment and
+// ProgramAdaptiveSearch reload identical prior work from disk instead of
+// re-simulating, across processes, and replay each benchmark from mmap'd
+// file-backed pages recorded at most once per directory. Entries are keyed by the normalized request plus a schema
 // version, so results can never go stale — a version bump simply orphans
 // old entries (see README.md for the directory layout and invalidation
 // rules). cmd/galsd serves the same cache over HTTP.
@@ -333,25 +246,6 @@ func OpenCache(dir string) (Env, error) {
 		return Env{}, err
 	}
 	return Env{Cache: c, Recordings: st}, nil
-}
-
-// BestSynchronous sweeps the fully synchronous design space over the whole
-// suite and returns the best-overall configuration (paper Section 4). The
-// sweep streams per-cell results into running accumulators (memory is
-// O(configs + benchmarks) at any window). It errors in the degenerate case
-// where no configuration produced a finite score (some run reported a
-// non-positive time for every configuration).
-func BestSynchronous(o SweepOptions) (Config, error) {
-	specs := workload.Suite()
-	cfgs := sweep.SyncSpace()
-	sum, err := sweep.MeasureSummary(specs, cfgs, o)
-	if err != nil {
-		return Config{}, err
-	}
-	if sum.Best < 0 {
-		return Config{}, fmt.Errorf("gals: synchronous sweep produced no finite run times")
-	}
-	return cfgs[sum.Best], nil
 }
 
 // ProgramAdaptiveSearch exhaustively evaluates the 256 adaptive MCD

@@ -14,9 +14,6 @@ func TestWorkloadLookup(t *testing.T) {
 	if _, err := Workload("not-a-benchmark"); err == nil {
 		t.Error("bogus workload lookup succeeded")
 	}
-	if len(Workloads()) != 40 {
-		t.Errorf("suite has %d workloads, want 40", len(Workloads()))
-	}
 }
 
 func TestRunValidation(t *testing.T) {
@@ -70,9 +67,6 @@ func TestRecordedFacade(t *testing.T) {
 	if _, err := RecordWorkload(spec, 0); err == nil {
 		t.Error("zero-length recording accepted")
 	}
-	if _, err := NewTracePool(0); err == nil {
-		t.Error("zero-window pool accepted")
-	}
 	rec, err := RecordWorkload(spec, 3000)
 	if err != nil {
 		t.Fatal(err)
@@ -100,10 +94,7 @@ func TestRecordedFacade(t *testing.T) {
 	if !reflect.DeepEqual(traced, live) || tel.Window != 3000 {
 		t.Errorf("traced streamed replay diverged from the live run (telemetry window %d)", tel.Window)
 	}
-	pool, err := NewTracePool(2000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := Env{}.Pool(2000)
 	cfg, tt, err := ProgramAdaptiveSearch(spec, SweepOptions{Window: 2000, Traces: pool})
 	if err != nil {
 		t.Fatal(err)
@@ -165,21 +156,9 @@ func TestProgramAdaptiveSearchCancelled(t *testing.T) {
 	}
 }
 
+// TestPoliciesFacade: a policy selected with Config.WithPolicy reaches
+// the machine, and Run rejects an unknown one.
 func TestPoliciesFacade(t *testing.T) {
-	infos := Policies()
-	if len(infos) < 3 {
-		t.Fatalf("Policies() lists %d policies, want >= 3", len(infos))
-	}
-	names := map[string]bool{}
-	for _, in := range infos {
-		names[in.Name] = true
-	}
-	for _, want := range []string{"paper", "interval", "frozen"} {
-		if !names[want] {
-			t.Errorf("Policies() missing %q", want)
-		}
-	}
-
 	spec, err := Workload("apsi")
 	if err != nil {
 		t.Fatal(err)

@@ -81,7 +81,7 @@ func refSync(prod, cons *refClock, tp timing.FS) timing.FS {
 func modelPeriods() []timing.FS {
 	var ps []timing.FS
 	for _, c := range timing.DCacheConfigs() {
-		ps = append(ps, c.AdaptPeriod(), c.OptimalPeriod())
+		ps = append(ps, c.AdaptPeriod(), timing.PeriodFS(c.Spec().OptimalMHz))
 	}
 	for _, c := range timing.ICacheConfigs() {
 		ps = append(ps, c.AdaptPeriod(), c.SetsPeriod())

@@ -75,19 +75,19 @@ func TestValidateResolvesDefaults(t *testing.T) {
 	if v := Param(got, "interval", def["interval"]); v != PaperCacheInterval {
 		t.Fatalf("interval default = %v, want %v", v, PaperCacheInterval)
 	}
-	if err := Validate("interval", "interval=-5"); err == nil {
+	if err := ValidateSelection("interval", "interval=-5", ""); err == nil {
 		t.Error("negative interval validated")
 	}
-	if err := Validate("paper", "interval=1"); err == nil {
+	if err := ValidateSelection("paper", "interval=1", ""); err == nil {
 		t.Error("paper accepted a parameter it does not declare")
 	}
-	if err := Validate("frozen", ""); err != nil {
+	if err := ValidateSelection("frozen", "", ""); err != nil {
 		t.Errorf("frozen rejected: %v", err)
 	}
-	if err := Validate("", ""); err != nil {
+	if err := ValidateSelection("", "", ""); err != nil {
 		t.Errorf("default policy rejected: %v", err)
 	}
-	if err := Validate("nope", ""); err == nil || !strings.Contains(err.Error(), "unknown policy") {
+	if err := ValidateSelection("nope", "", ""); err == nil || !strings.Contains(err.Error(), "unknown policy") {
 		t.Errorf("unknown policy error = %v", err)
 	}
 }

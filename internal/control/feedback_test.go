@@ -14,8 +14,8 @@ func TestFeedbackParamBounds(t *testing.T) {
 		"", "kp=2,ki=0.5", "interval=7500,clamp=10",
 		"cache_setpoint=0.2,ilp_setpoint=8,deadband=1",
 	} {
-		if err := Validate("feedback", ok); err != nil {
-			t.Errorf("Validate(feedback, %q) = %v", ok, err)
+		if err := ValidateSelection("feedback", ok, ""); err != nil {
+			t.Errorf("ValidateSelection(feedback, %q, \"\") = %v", ok, err)
 		}
 	}
 	for _, bad := range []string{
@@ -30,8 +30,8 @@ func TestFeedbackParamBounds(t *testing.T) {
 		"interval=2e9",     // above bound
 		"gain=1",           // unknown parameter
 	} {
-		if err := Validate("feedback", bad); err == nil {
-			t.Errorf("Validate(feedback, %q) accepted", bad)
+		if err := ValidateSelection("feedback", bad, ""); err == nil {
+			t.Errorf("ValidateSelection(feedback, %q, \"\") accepted", bad)
 		}
 	}
 }

@@ -240,14 +240,6 @@ func Param(params map[string]float64, name string, def float64) float64 {
 	return def
 }
 
-// Validate reports whether name/params select a registered policy with a
-// well-formed parameter assignment and no blob artifact. Blob-requiring
-// policies fail here by construction; use ValidateSelection where an
-// artifact can legitimately appear.
-func Validate(name, params string) error {
-	return ValidateSelection(name, params, "")
-}
-
 // ValidateSelection reports whether name/params/blob select a registered
 // policy with a well-formed parameter assignment and (when the policy
 // requires or accepts one) a well-formed blob artifact. It is what

@@ -324,11 +324,6 @@ func (t *Telemetry) Seal(m *Machine) {
 	t.sampleHead, t.eventHead = 0, 0
 }
 
-// EventTotal returns the number of reconfiguration events the run
-// committed, including any rotated out of a saturated ring — the figure
-// that must equal the run's Stats.Reconfigs.
-func (t *Telemetry) EventTotal() int64 { return int64(len(t.Events)) + t.DroppedEvents }
-
 // EventsByStructure counts the recorded events per structure name.
 func (t *Telemetry) EventsByStructure() map[string]int64 {
 	out := make(map[string]int64, 4)

@@ -53,7 +53,7 @@ func TestTelemetryParity(t *testing.T) {
 			if off.TimeFS != on.TimeFS {
 				t.Errorf("telemetry changed simulated time: off %d on %d", off.TimeFS, on.TimeFS)
 			}
-			if got, want := tel.EventTotal(), on.Stats.Reconfigs; got != want {
+			if got, want := int64(len(tel.Events))+tel.DroppedEvents, on.Stats.Reconfigs; got != want {
 				t.Errorf("artifact holds %d events, Stats.Reconfigs = %d", got, want)
 			}
 			if tel.Reconfigs != on.Stats.Reconfigs || tel.Window != telTestWindow {
@@ -92,8 +92,8 @@ func TestTelemetryRingOverflow(t *testing.T) {
 	if small.DroppedSamples != int64(len(full.Samples)-tiny) {
 		t.Errorf("DroppedSamples = %d, want %d", small.DroppedSamples, len(full.Samples)-tiny)
 	}
-	if got, want := small.EventTotal(), res.Stats.Reconfigs; got != want {
-		t.Errorf("EventTotal %d != Reconfigs %d after overflow", got, want)
+	if got, want := int64(len(small.Events))+small.DroppedEvents, res.Stats.Reconfigs; got != want {
+		t.Errorf("events + dropped %d != Reconfigs %d after overflow", got, want)
 	}
 	// The kept tail must be the chronological END of the full series.
 	tail := full.Samples[len(full.Samples)-tiny:]

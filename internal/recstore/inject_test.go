@@ -205,7 +205,7 @@ func inFlight(t *testing.T, st *Store, ctx context.Context, spec workload.Spec, 
 		errc <- err
 	}()
 	deadline := time.Now().Add(10 * time.Second)
-	for st.Live() == 0 {
+	for st.slabs.Len() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("the first acquisition never started")
 		}

@@ -131,9 +131,6 @@ func Open(dir string) (*Store, error) {
 	return &Store{dir: dir}, nil
 }
 
-// Dir returns the store's root directory.
-func (st *Store) Dir() string { return st.dir }
-
 // Stats returns the store's counters so far.
 func (st *Store) Stats() Stats {
 	return Stats{
@@ -144,11 +141,6 @@ func (st *Store) Stats() Stats {
 		Released:   st.released.Load(),
 	}
 }
-
-// Live returns the number of slab entries currently cached (each holding a
-// mapping or heap slab with a non-zero reference count, or mid-acquire).
-// Chaos tests assert it reaches zero after every pool retires.
-func (st *Store) Live() int { return st.slabs.Len() }
 
 // specDigest canonicalizes a spec for identity checks. Spec is plain data,
 // so its JSON encoding is stable.

@@ -116,9 +116,6 @@ func (c DCacheConfig) String() string { return dcacheSpecs[c].Name }
 // AdaptPeriod returns the adaptive-organization clock period.
 func (c DCacheConfig) AdaptPeriod() FS { return PeriodFS(dcacheSpecs[c].AdaptMHz) }
 
-// OptimalPeriod returns the optimal-organization clock period.
-func (c DCacheConfig) OptimalPeriod() FS { return PeriodFS(dcacheSpecs[c].OptimalMHz) }
-
 // DCacheConfigs lists all four configurations in upsizing order.
 func DCacheConfigs() []DCacheConfig {
 	return []DCacheConfig{DCache32K1W, DCache64K2W, DCache128K4W, DCache256K8W}

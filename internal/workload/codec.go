@@ -49,17 +49,13 @@ func decodeInst(src []byte, in *isa.Inst) {
 	in.Taken = src[29] != 0
 }
 
-// RecordTo streams the first n instructions of the benchmark's deterministic
-// trace to w in the fixed wire encoding, without ever materializing the
-// slab: peak memory is one buffer, independent of n. The byte stream is
-// exactly what RecordingFromEncoded replays.
-func (s Spec) RecordTo(w io.Writer, n int64) error {
-	return s.RecordToContext(nil, w, n)
-}
-
-// RecordToContext is RecordTo bounded by ctx: cancellation is observed once
-// per buffer flush (4096 instructions), so a deadline aborts a paper-scale
-// recording within microseconds rather than after the full stream. A nil or
+// RecordToContext streams the first n instructions of the benchmark's
+// deterministic trace to w in the fixed wire encoding, without ever
+// materializing the slab: peak memory is one buffer, independent of n. The
+// byte stream is exactly what RecordingFromEncoded replays. ctx bounds the
+// stream: cancellation is observed once per buffer flush (4096
+// instructions), so a deadline aborts a paper-scale recording within
+// microseconds rather than after the full stream. A nil or
 // never-cancellable ctx costs one nil check per flush — the encoded bytes
 // are identical either way.
 func (s Spec) RecordToContext(ctx context.Context, w io.Writer, n int64) error {
@@ -98,10 +94,10 @@ func (s Spec) RecordToContext(ctx context.Context, w io.Writer, n int64) error {
 	return nil
 }
 
-// RecordingFromEncoded wraps an encoded slab (produced by RecordTo) as a
-// replayable Recording without decoding it up front: replays decode on the
-// fly in small chunks, so an mmap'd slab costs file-backed pages plus one
-// chunk buffer per replay cursor. raw must hold a whole number of encoded
+// RecordingFromEncoded wraps an encoded slab (produced by RecordToContext)
+// as a replayable Recording without decoding it up front: replays decode on
+// the fly in small chunks, so an mmap'd slab costs file-backed pages plus
+// one chunk buffer per replay cursor. raw must hold a whole number of encoded
 // instructions and must not be mutated afterwards.
 func RecordingFromEncoded(spec Spec, raw []byte) (*Recording, error) {
 	if len(raw) == 0 || len(raw)%EncodedInstSize != 0 {

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"gals/internal/isa"
@@ -33,7 +34,7 @@ func TestRecordToMatchesRecord(t *testing.T) {
 	spec, _ := ByName("gcc")
 	const n = 3000
 	var blob bytes.Buffer
-	if err := spec.RecordTo(&blob, n); err != nil {
+	if err := spec.RecordToContext(context.Background(), &blob, n); err != nil {
 		t.Fatal(err)
 	}
 	if blob.Len() != n*EncodedInstSize {
@@ -82,7 +83,7 @@ func (f *fakeBacking) Recording(s Spec, window int64) (*Recording, error) {
 		return nil, bytes.ErrTooLarge
 	}
 	var blob bytes.Buffer
-	if err := s.RecordTo(&blob, window); err != nil {
+	if err := s.RecordToContext(context.Background(), &blob, window); err != nil {
 		return nil, err
 	}
 	return RecordingFromEncoded(s, blob.Bytes())

@@ -222,9 +222,6 @@ func (s Spec) NewTrace() *Trace {
 // Spec returns the benchmark description.
 func (t *Trace) Spec() Spec { return t.spec }
 
-// Count returns the number of instructions generated so far.
-func (t *Trace) Count() int64 { return t.count }
-
 func (t *Trace) setPhase(idx int) {
 	if len(t.phases) == 0 {
 		t.p = t.spec.Base

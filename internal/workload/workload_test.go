@@ -21,8 +21,8 @@ func TestDeterministicReplay(t *testing.T) {
 			t.Fatalf("traces diverge at %d: %v vs %v", i, x, y)
 		}
 	}
-	if a.Count() != 50_000 {
-		t.Errorf("Count = %d, want 50000", a.Count())
+	if a.count != 50_000 {
+		t.Errorf("count = %d, want 50000", a.count)
 	}
 }
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Dead-code gate: fails when a function or method declared in a non-test
-# file under internal/ is linked into no main package of the repo
-# (cmd/*, examples/*, and bench/galsbench in the separate bench/ module).
+# file of a library package (internal/*, the public package gals and
+# client/) is linked into no main package of the repo (cmd/*, examples/*,
+# and bench/galsbench in the separate bench/ module).
 #
 # Every main package is built with inlining off (-gcflags=all=-l), so a
 # function the linker keeps shows up in `go tool nm` even when every caller
@@ -35,7 +36,7 @@ sed -E 's/^[[:space:]]*[0-9a-f]*[[:space:]]+[A-Za-z][[:space:]]+//' "$tmp/nm" | 
 
 # Declarations in the files this platform builds (go list applies build
 # constraints), as package-qualified symbols: F, T.M or (*T).M.
-$GO list -f '{{$d := .Dir}}{{$p := .ImportPath}}{{range .GoFiles}}{{$p}} {{$d}}/{{.}}{{"\n"}}{{end}}' ./internal/... |
+$GO list -f '{{$d := .Dir}}{{$p := .ImportPath}}{{range .GoFiles}}{{$p}} {{$d}}/{{.}}{{"\n"}}{{end}}' ./internal/... . ./client |
 	while read -r pkg file; do
 		strip_generics <"$file" | awk -v pkg="$pkg" -v file="$file" '
 			/^func / {
@@ -70,7 +71,7 @@ comm -12 "$tmp/allowed" "$tmp/linked" | sed 's/$/: allowlisted but linked/' >>"$
 
 status=0
 if [ -s "$tmp/dead" ]; then
-	echo "deadcode: declared in internal/ but linked into no main package:" >&2
+	echo "deadcode: declared in a library package but linked into no main package:" >&2
 	awk -F'\t' -v root="$PWD/" '{ sub(root, "", $2); print "  " $2 ": " $1 }' "$tmp/dead" >&2
 	status=1
 fi
@@ -79,5 +80,5 @@ if [ -s "$tmp/stale" ]; then
 	sed 's/^/  /' "$tmp/stale" >&2
 	status=1
 fi
-[ $status -eq 0 ] && echo "deadcode: $(wc -l <"$tmp/names") internal functions, all linked or allowlisted"
+[ $status -eq 0 ] && echo "deadcode: $(wc -l <"$tmp/names") library functions, all linked or allowlisted"
 exit $status
