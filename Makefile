@@ -38,19 +38,25 @@ allocs:
 	$(GO) test -run 'Allocs' ./internal/core/ .
 
 # Inlining gate (also a CI step): the timing model's hot clock queries test
-# (*Clock).OnEdge inline and call the clock's methods only off its fast
-# path, which pays only while the compiler inlines OnEdge. Fails if OnEdge
-# is not inlinable, or if no OnEdge call is inlined into step, execCompute
-# or addrGen (internal/core/pipeline.go). The compiler's -m report names
-# only line numbers, so each function's lines are read from its source.
+# (*Clock).Grid inline and call the clock's methods only off its fast path,
+# and srcReady answers a cross-domain operand with an inlined
+# (*SyncPath).Cached; both pay only while the compiler inlines them. Fails
+# if either helper is not inlinable, or if no call of a helper is inlined
+# into a function INLINE_SITES pairs it with (internal/core/pipeline.go).
+# The compiler's -m report names only line numbers, so each function's
+# lines are read from its source.
+INLINE_SITES ?= Clock.Grid:step Clock.Grid:execCompute Clock.Grid:addrGen Clock.Grid:execLoad Clock.Grid:l2Timed SyncPath.Cached:srcReady
 inline:
 	@out=$$($(GO) build -gcflags=-m ./internal/clock ./internal/core 2>&1) || { echo "$$out" >&2; exit 1; }; \
-	echo "$$out" | grep -q 'can inline (\*Clock).OnEdge' || { echo "inline: (*Clock).OnEdge is not inlinable" >&2; exit 1; }; \
-	for f in step execCompute addrGen; do \
-		echo "$$out" | awk -v fn=$$f ' \
+	for h in '(*Clock).Grid' '(*SyncPath).Cached'; do \
+		echo "$$out" | awk -v s="can inline $$h" 'substr($$0, length($$0) - length(s) + 1) == s { f = 1 } END { exit !f }' || { echo "inline: $$h is not inlinable" >&2; exit 1; }; \
+	done; \
+	for s in $(INLINE_SITES); do \
+		h=$${s%%:*}; f=$${s##*:}; \
+		echo "$$out" | awk -v fn=$$f -v call="inlining call to clock.(*$${h%%.*}).$${h##*.}" ' \
 			FNR == NR { if ($$0 ~ "^func \\(m \\*Machine\\) " fn "\\(") a = FNR; else if (a && !b && $$0 == "}") b = FNR; next } \
-			/inlining call to clock\.\(\*Clock\)\.OnEdge/ { split($$0, p, ":"); if (p[1] == "internal/core/pipeline.go" && p[2] >= a && p[2] <= b) n++ } \
-			END { if (!n) { print "inline: (*Clock).OnEdge is not inlined into " fn > "/dev/stderr"; exit 1 } print "inline: " fn ": " n " OnEdge calls inlined" }' \
+			substr($$0, length($$0) - length(call) + 1) == call { split($$0, p, ":"); if (p[1] == "internal/core/pipeline.go" && p[2] >= a && p[2] <= b) n++ } \
+			END { if (!n) { print "inline: " substr(call, 24) " is not inlined into " fn > "/dev/stderr"; exit 1 } print "inline: " fn ": " n " " substr(call, 24) " calls inlined" }' \
 			internal/core/pipeline.go - || exit 1; \
 	done
 
@@ -101,8 +107,9 @@ crash:
 	$(GO) test -race -run 'Crash|Resume|Scrub' ./...
 
 # Fuzz gate (also six CI steps): FuzzClockEdges checks the clock's
-# division-free edge arithmetic and the on-edge test the timing model
-# inlines against a plain / and % reference over random epoch sequences;
+# division-free edge arithmetic, the Grid test the timing model inlines
+# (final and locking grids) and SyncPath's integer threshold against a
+# plain / and % reference over random epoch sequences;
 # FuzzSweepCheckpoint and FuzzPhaseCheckpoint
 # decode arbitrary bytes as a MeasureSummary or MeasurePhase checkpoint and
 # check that restore never panics and that an accepted checkpoint completes

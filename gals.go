@@ -95,8 +95,6 @@ type (
 	TelemetryEvent = core.TelemetryEvent
 	// WorkloadSpec describes one benchmark run.
 	WorkloadSpec = workload.Spec
-	// WorkloadParams parameterize a synthetic workload phase.
-	WorkloadParams = workload.Params
 	// ExperimentTable is one regenerated table or figure.
 	ExperimentTable = experiment.Table
 	// ExperimentOptions scale the dynamic experiments.
@@ -104,9 +102,6 @@ type (
 	// SweepOptions control design-space sweeps. Set Traces to a shared
 	// pool (Env.Pool) to replay one recording per benchmark across sweeps.
 	SweepOptions = sweep.Options
-	// SweepSummary is a sweep's streaming aggregation: best-overall and
-	// per-application winners in O(configs + benchmarks) memory.
-	SweepSummary = sweep.Summary
 	// Env is the persistence sweeps and experiments run against: a result
 	// cache and a recording store (see OpenCache). Set it on
 	// SweepOptions.Env or ExperimentOptions.Env; the zero Env keeps
@@ -121,16 +116,10 @@ type (
 	// Recording is an immutable recorded benchmark trace, replayable
 	// concurrently and bit-identical to live generation.
 	Recording = workload.Recording
-	// RecordingStore persists recordings as mmap-replayed binary slabs.
-	RecordingStore = recstore.Store
 	// ICacheConfig, DCacheConfig and IQSize name structure configurations.
 	ICacheConfig = timing.ICacheConfig
 	DCacheConfig = timing.DCacheConfig
 	IQSize       = timing.IQSize
-	// PolicySetting pairs a policy name with a parameter assignment (and,
-	// for blob-requiring policies, a weights artifact) for policy-axis
-	// sweeps (sweep.PhaseSpace, POST /v1/sweep space "phase").
-	PolicySetting = sweep.PolicySetting
 )
 
 // Machine modes.

@@ -16,13 +16,17 @@ var edgeSink timing.FS
 //   - on-grid: After(t, 1) from an edge, as most queries of a synchronous
 //     run are;
 //   - inline-on-grid: the same query in the timing model's call-site form,
-//     an inlined OnEdge test and t + CurrentPeriod(), with After only as
-//     the fallback;
+//     an inlined Grid test and t plus its period, with After only as the
+//     fallback;
 //   - off-grid: EdgeAtOrAfter from between two edges;
-//   - pre-lock-epoch: After from between two edges of a historical epoch,
+//   - pre-lock-epoch: After from between two edges of the locking epoch,
 //     as a Phase-Adaptive machine queries between a reconfiguration
 //     decision and its PLL lock;
-//   - SyncPath.Sync: a cross-domain transfer between two final epochs.
+//   - inline-locking-epoch: the call-site form from an edge of the
+//     locking epoch's grid;
+//   - SyncPath.Sync: a cross-domain transfer between two final epochs;
+//   - SyncPath.Sync-locking-epoch: the same transfer while both clocks'
+//     PLLs lock.
 func BenchmarkClockEdge(b *testing.B) {
 	fe := timing.PeriodFS(1770)
 	b.Run("on-grid", func(b *testing.B) {
@@ -38,8 +42,8 @@ func BenchmarkClockEdge(b *testing.B) {
 		// A b.Loop body keeps its calls out of line, so this loop counts
 		// b.N itself and keeps its result in edgeSink.
 		for range b.N {
-			if c.OnEdge(t) {
-				t += c.CurrentPeriod()
+			if p, ok := c.Grid(t, 1); ok {
+				t += p
 			} else {
 				t = c.After(t, 1)
 			}
@@ -62,8 +66,31 @@ func BenchmarkClockEdge(b *testing.B) {
 			t = c.After(t+7, 1)
 		}
 	})
+	b.Run("inline-locking-epoch", func(b *testing.B) {
+		c := New(LoadStore, timing.PeriodFS(1590), 1, 0)
+		c.SetPeriodAt(1<<60, timing.PeriodFS(1150))
+		t := timing.FS(0)
+		for range b.N {
+			if p, ok := c.Grid(t, 1); ok {
+				t += p
+			} else {
+				t = c.After(t, 1)
+			}
+		}
+		edgeSink = t
+	})
 	b.Run("SyncPath.Sync", func(b *testing.B) {
 		p := NewSyncPath(New(Integer, timing.PeriodFS(1449), 1, 0), New(LoadStore, timing.PeriodFS(1790), 1, 0))
+		t := timing.FS(0)
+		for b.Loop() {
+			t = p.Sync(t + 7)
+		}
+	})
+	b.Run("SyncPath.Sync-locking-epoch", func(b *testing.B) {
+		prod, cons := New(Integer, timing.PeriodFS(1449), 1, 0), New(LoadStore, timing.PeriodFS(1790), 1, 0)
+		prod.SetPeriodAt(1<<60, timing.PeriodFS(1200))
+		cons.SetPeriodAt(1<<60, timing.PeriodFS(1150))
+		p := NewSyncPath(prod, cons)
 		t := timing.FS(0)
 		for b.Loop() {
 			t = p.Sync(t + 7)

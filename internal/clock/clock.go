@@ -157,14 +157,21 @@ type Clock struct {
 	// struct so the fast paths read a single cache line.
 	fastStart timing.FS
 	final     epoch
-	epochs    []epoch
+	// lock caches the epoch before the final one: the old clock a domain
+	// keeps running from a reconfiguration decision (SetPeriodAt) until
+	// the pending final epoch starts, as its PLL locks. Its grid governs
+	// [lock.start, final.start), and final.start is one of its edges. A
+	// clock with one epoch or with jitter keeps lock at neverFast, where
+	// no simulated time lies on its grid.
+	lock   epoch
+	epochs []epoch
 	// jitterFrac is the peak-to-peak jitter as a fraction of the period
 	// (0 disables jitter).
 	jitterFrac float64
 	seed       uint64
-	// gen counts accepted reconfigurations; SyncPath uses it to detect
-	// that its cached per-pair threshold went stale.
-	gen uint64
+	// paths are the SyncPaths from or to this clock; SetPeriodAt drops
+	// their cached segments.
+	paths []*SyncPath
 }
 
 // New creates a clock for domain d with the given initial period. seed
@@ -181,6 +188,7 @@ func New(d Domain, period timing.FS, seed uint64, jitterFrac float64) *Clock {
 	c := &Clock{
 		epochs:     []epoch{e},
 		final:      e,
+		lock:       newEpoch(neverFast, period, 0),
 		jitterFrac: jitterFrac,
 		seed:       seed ^ (uint64(d) * 0x9e3779b97f4a7c15),
 	}
@@ -203,6 +211,9 @@ func (c *Clock) CurrentPeriod() timing.FS { return c.final.period }
 func (c *Clock) epochAt(t timing.FS) *epoch {
 	if t >= c.final.start {
 		return &c.final
+	}
+	if t >= c.lock.start {
+		return &c.lock
 	}
 	return &c.epochs[c.epochIndexAt(t)]
 }
@@ -246,35 +257,46 @@ func (c *Clock) edgeTime(e *epoch, n uint64) timing.FS {
 	return t + c.jitter(e.base+n, e.period)
 }
 
-// OnEdge reports whether t is an edge of a jitter-free clock's final epoch,
-// at or after that epoch's start. Then EdgeAtOrAfter(t) is t, NextEdge(t) is
-// t + CurrentPeriod() and After(t, n) is t + n*CurrentPeriod() for n >= 0, so
-// a hot caller tests OnEdge inline, computes those sums itself and calls the
-// methods only when it fails. It is one subtract, multiply, rotate and
-// compare: a t before fastStart (a pre-lock time, or any time of a jittered
-// clock, whose fastStart is neverFast) wraps to at least 2^63, which onGrid
-// rejects with every off-grid time.
-func (c *Clock) OnEdge(t timing.FS) bool {
-	return c.final.onGrid(uint64(t - c.fastStart))
+// Grid reports whether t is an edge of one of a jitter-free clock's two
+// cached grids, the final epoch at or after its start or the locking epoch
+// with t+n*p at or before the final epoch's start, and returns p, that
+// grid's period. Then EdgeAtOrAfter(t) is t and After(t, k) is t + k*p for
+// 0 <= k <= n (NextEdge(t) is t + p for n >= 1), so a hot caller tests Grid
+// inline, computes those sums itself and calls the methods only when it
+// fails. On the final grid it is one subtract, multiply, rotate and compare:
+// a t before fastStart (a time before the final epoch, or any time of a
+// jittered clock, whose fastStart is neverFast) wraps to at least 2^63,
+// which onGrid rejects with every off-grid time. Only then does it try the
+// locking grid, where the final epoch's start, one of its edges, belongs
+// to the final grid.
+func (c *Clock) Grid(t timing.FS, n int) (timing.FS, bool) {
+	if c.final.onGrid(uint64(t - c.fastStart)) {
+		return c.final.period, true
+	}
+	l := &c.lock
+	return l.period, l.onGrid(uint64(t-l.start)) && t+timing.FS(n)*l.period <= c.final.start
 }
 
 // EdgeAtOrAfter returns the time of the first clock edge at or after t.
 // With jitter disabled (the default) this is division-free integer
-// arithmetic: no hash, no probe loop, and — in the common case of t at or
-// after the last reconfiguration — no epoch scan either. A t already on an
-// edge costs only the on-grid test. Unlike NextEdge and After, it keeps the
-// off-grid remainder in the same call: in a multiple-clock-domain run most
-// of its queries land between edges, since its callers include every
-// cross-domain Align.
+// arithmetic: no hash, no probe loop, and — for t in the final or the
+// locking epoch — no epoch scan either. A t already on an edge costs only
+// the on-grid test. Unlike NextEdge and After, it keeps the off-grid
+// remainder in the same call: in a multiple-clock-domain run most of its
+// queries land between edges, since its callers include every cross-domain
+// Align.
 func (c *Clock) EdgeAtOrAfter(t timing.FS) timing.FS {
 	if t >= c.fastStart {
 		return c.final.edgeAtOrAfter(t)
+	}
+	if t >= c.lock.start {
+		return c.lock.edgeAtOrAfter(t)
 	}
 	return c.edgeAtOrAfterRare(t)
 }
 
 // edgeAtOrAfterRare handles jittered clocks and jitter-free queries into
-// historical epochs (between a reconfiguration decision and its PLL lock).
+// historical epochs before the locking one.
 func (c *Clock) edgeAtOrAfterRare(t timing.FS) timing.FS {
 	if c.jitterFrac != 0 {
 		return c.edgeAtOrAfterSlow(t)
@@ -308,19 +330,19 @@ func (c *Clock) edgeAtOrAfterSlow(t timing.FS) timing.FS {
 }
 
 // NextEdge returns the time of the first clock edge strictly after t. A t
-// on an edge of the final epoch, as most are, costs only the on-grid test;
-// every other t goes to nextEdgeRare.
+// on an edge of a cached grid, as most are, costs only Grid's test; every
+// other t goes to nextEdgeRare.
 func (c *Clock) NextEdge(t timing.FS) timing.FS {
-	if c.OnEdge(t) {
-		return t + c.final.period
+	if p, ok := c.Grid(t, 1); ok {
+		return t + p
 	}
 	return c.nextEdgeRare(t)
 }
 
-// nextEdgeRare is NextEdge for every t but an edge of the final jitter-free
-// epoch. Off that grid, the next edge is the first at or after t. Each
-// epoch starts on its predecessor's edge grid, so the next edge of the
-// epoch governing t is the clock's next edge even across a boundary.
+// nextEdgeRare is NextEdge for every t Grid rejects. Off the grids, the
+// next edge is the first at or after t. Each epoch starts on its
+// predecessor's edge grid, so the next edge of the epoch governing t is
+// the clock's next edge even across a boundary.
 func (c *Clock) nextEdgeRare(t timing.FS) timing.FS {
 	if t >= c.fastStart {
 		return c.final.edgeAtOrAfter(t)
@@ -338,20 +360,20 @@ func (c *Clock) nextEdgeRare(t timing.FS) timing.FS {
 // After returns the time of the edge n cycles after the first edge at or
 // after t. After(t, 0) == EdgeAtOrAfter(t). It is the primary primitive for
 // charging an n-cycle latency that begins at time t. Negative n panics. A
-// start on an edge of the final epoch, as most are, costs only the on-grid
-// test; every other start goes to afterRare.
+// start on an edge of a cached grid with its n cycles inside it, as most
+// are, costs only Grid's test; every other start goes to afterRare.
 func (c *Clock) After(t timing.FS, n int) timing.FS {
-	if n >= 0 && c.OnEdge(t) {
-		return t + timing.FS(n)*c.final.period
+	if p, ok := c.Grid(t, n); ok && n >= 0 {
+		return t + timing.FS(n)*p
 	}
 	return c.afterRare(t, n)
 }
 
-// afterRare is After for every start but an edge of the final jitter-free
-// epoch: one multiply-high remainder off that grid, and otherwise negative
-// n (panics), jittered clocks, and jitter-free starts inside historical
-// epochs (between a reconfiguration decision and its PLL lock completion).
-// The latter walk epoch boundaries analytically. Each epoch's start lies
+// afterRare is After for every start Grid rejects: one multiply-high
+// remainder off the final grid, and otherwise negative n (panics),
+// jittered clocks, and jitter-free starts inside historical epochs (the
+// locking one included, off its grid or n cycles past its end). The
+// latter walk epoch boundaries analytically. Each epoch's start lies
 // on its predecessor's edge grid (SetPeriodAt places it with
 // EdgeAtOrAfter), so an epoch holds the n edges after tt exactly when
 // tt+n*period reaches no further than the next epoch's start, and the
@@ -430,9 +452,12 @@ func (c *Clock) SetPeriodAt(t timing.FS, period timing.FS) {
 	}
 	c.final = newEpoch(start, period, last.base+elapsed)
 	c.epochs = append(c.epochs, c.final)
-	c.gen++
 	if c.jitterFrac == 0 {
 		c.fastStart = start
+		c.lock = last
+	}
+	for _, p := range c.paths {
+		p.span = 0
 	}
 }
 
@@ -476,25 +501,36 @@ func Sync(producer, consumer *Clock, tp timing.FS) timing.FS {
 // plain Sync looks both up on every call, but between reconfigurations the
 // answer never changes — and cross-domain transfers are hot enough
 // (several per simulated instruction) that the paper's sweeps pay for it
-// millions of times. The path caches SyncThreshold * min(period) and
-// revalidates with one generation comparison per call, falling back to the
-// exact Sync for queries into historical epochs (between a reconfiguration
-// decision and its PLL lock) and for a jittered consumer.
+// millions of times. Between reconfigurations each pair's relation is fixed
+// (as in a PALS design, where every domain clock is a grid), so the path
+// caches a segment of transfer times over which both clocks keep one period
+// and the consumer one grid: the final epochs' segment, or one inside a PLL
+// locking window. Cached answers a transfer in it with the consumer grid's
+// remainder and an integer threshold, inline at a hot caller; sync, out of
+// line, re-caches the segment around any other jitter-free transfer and
+// takes the exact stateless Sync for a jittered consumer. SetPeriodAt on
+// either clock drops the segment.
 //
 // A SyncPath is NOT safe for concurrent use; give each simulation its own
 // (machines already own their clocks).
 type SyncPath struct {
+	// from and span are the cached segment [from, from+span) of transfer
+	// times; span 0 caches none. The unsigned difference tp-from wraps a
+	// tp before from past every span.
+	from timing.FS
+	span uint64
+	// start, per and mag are the start, period and divmod reciprocal of
+	// the consumer's epoch over the segment. The segment ends a period
+	// before the epoch's own end, so a transfer's edge and the edge after
+	// it both lie on its grid.
+	start    timing.FS
+	per, mag uint64
+	// thr is ceil(SyncThreshold*float64(fast)) for the faster of the two
+	// periods over the segment. For an integer gap g below 2^53, float64(g)
+	// < SyncThreshold*float64(fast) exactly when g < thr, so the answer is
+	// Sync's; and thr <= per.
+	thr                timing.FS
 	producer, consumer *Clock
-	// gen is the sum of both clocks' reconfiguration counts at the last
-	// refresh; both only ever increment, so any change invalidates.
-	gen uint64
-	// validFrom is the earliest time the cached threshold and the
-	// consumer's final edge grid apply to: the later of the producer's
-	// final-epoch start and the consumer's fastStart (which lies beyond
-	// any simulated time when the consumer jitters).
-	validFrom timing.FS
-	// threshold is SyncThreshold * min(final periods), in femtoseconds.
-	threshold float64
 }
 
 // NewSyncPath creates the memoized path from producer to consumer.
@@ -502,44 +538,89 @@ type SyncPath struct {
 func NewSyncPath(producer, consumer *Clock) *SyncPath {
 	p := &SyncPath{producer: producer, consumer: consumer}
 	if producer != consumer {
-		p.refresh()
+		producer.paths = append(producer.paths, p)
+		consumer.paths = append(consumer.paths, p)
 	}
 	return p
 }
 
-func (p *SyncPath) refresh() {
-	p.gen = p.producer.gen + p.consumer.gen
-	p.validFrom = max(p.producer.final.start, p.consumer.fastStart)
-	fast := p.producer.final.period
-	if cp := p.consumer.final.period; cp < fast {
-		fast = cp
-	}
-	p.threshold = SyncThreshold * float64(fast)
-}
-
-// Sync is equivalent to Sync(producer, consumer, tp) with the period
-// lookups amortized across calls between reconfigurations.
+// Sync is equivalent to Sync(producer, consumer, tp), from the cached
+// segment when tp lies in it. A same-clock path caches no segment.
 func (p *SyncPath) Sync(tp timing.FS) timing.FS {
 	if p.producer == p.consumer {
 		return tp
 	}
-	if p.producer.gen+p.consumer.gen != p.gen {
-		p.refresh()
+	if tc, ok := p.Cached(tp); ok {
+		return tc
 	}
-	if tp < p.validFrom {
-		// Transfer inside a historical epoch (only in the window between
-		// a reconfiguration decision and its lock) or to a jittered
-		// consumer: take the exact per-call path.
-		return Sync(p.producer, p.consumer, tp)
+	return p.sync(tp)
+}
+
+// Cached returns Sync(tp) and true when tp lies in the cached segment, at
+// the cost of a remainder and a compare, and false otherwise. A hot caller
+// tests it inline and calls Sync only when it fails.
+func (p *SyncPath) Cached(tp timing.FS) (timing.FS, bool) {
+	if uint64(tp-p.from) >= p.span {
+		return 0, false
 	}
-	// tc is an edge of the consumer's final grid, so its next edge is one
-	// period on.
-	final := &p.consumer.final
-	tc := final.edgeAtOrAfter(tp)
-	if float64(tc-tp) < p.threshold {
-		tc += final.period
+	// r is tp's offset past the grid edge at or before it (divmod's
+	// remainder), and w = period-r. The first edge at or after tp is tp+w
+	// when r > 0, and a gap w under the threshold adds one more period.
+	// When r is 0 the edge is tp itself, whose gap 0 is under the
+	// threshold, so Sync moves to tp+period: tp+w again, and w = period is
+	// not under the threshold.
+	d := uint64(tp - p.start)
+	q, _ := bits.Mul64(d, p.mag)
+	r := d - q*p.per
+	if r >= p.per {
+		r -= p.per
 	}
-	return tc
+	w := timing.FS(p.per - r)
+	if w < p.thr {
+		w += timing.FS(p.per)
+	}
+	return tp + w, true
+}
+
+// sync is Sync for a tp outside the cached segment: it caches the segment
+// around tp, when the consumer is jitter-free and one exists, and answers
+// from it; otherwise it takes the stateless Sync.
+func (p *SyncPath) sync(tp timing.FS) timing.FS {
+	if p.cache(tp) {
+		tc, _ := p.Cached(tp)
+		return tc
+	}
+	return Sync(p.producer, p.consumer, tp)
+}
+
+// cache makes the segment holding tp the cached one and reports whether
+// tp lies in it. The segment is the intersection of the producer's epoch
+// at tp with the consumer's, less the consumer epoch's last period: Sync's
+// edge for a transfer there and the edge after it are both on the
+// consumer's grid (an epoch's end, the next one's start, is its edge).
+func (p *SyncPath) cache(tp timing.FS) bool {
+	c := p.consumer
+	if c.jitterFrac != 0 {
+		return false
+	}
+	pi := p.producer.epochIndexAt(tp)
+	ci := c.epochIndexAt(tp)
+	pe, ce := &p.producer.epochs[pi], &c.epochs[ci]
+	from := max(pe.start, ce.start)
+	to := neverFast
+	if pi+1 < len(p.producer.epochs) {
+		to = p.producer.epochs[pi+1].start
+	}
+	if ci+1 < len(c.epochs) {
+		to = min(to, c.epochs[ci+1].start-ce.period+1)
+	}
+	if tp < from || tp >= to {
+		return false
+	}
+	p.from, p.span = from, uint64(to-from)
+	p.start, p.per, p.mag = ce.start, uint64(ce.period), ce.mag
+	p.thr = timing.FS(math.Ceil(SyncThreshold * float64(min(pe.period, ce.period))))
+	return true
 }
 
 // PLL models the per-domain frequency synthesizer. Lock times are normally

@@ -65,6 +65,21 @@ func (r *refClock) setPeriodAt(t, period timing.FS) {
 	r.periods = append(r.periods, period)
 }
 
+// grid is the reference for Clock.Grid: the period of the final epoch when
+// t is on its grid, else of the epoch before it when t is on that grid and
+// t+n periods reach no further than the final epoch's start.
+func (r *refClock) grid(t timing.FS, n int) (timing.FS, bool) {
+	k := len(r.starts) - 1
+	if s, p := r.starts[k], r.periods[k]; t >= s && (t-s)%p == 0 {
+		return p, true
+	}
+	if k == 0 {
+		return 0, false
+	}
+	s, p := r.starts[k-1], r.periods[k-1]
+	return p, t >= s && (t-s)%p == 0 && t+timing.FS(n)*p <= r.starts[k]
+}
+
 func refSync(prod, cons *refClock, tp timing.FS) timing.FS {
 	tc := cons.edgeAtOrAfter(tp)
 	fast := min(prod.period(tp), cons.period(tp))
@@ -162,13 +177,16 @@ func (in *fuzzBytes) cycles() int {
 
 // FuzzClockEdges builds two jitter-free clocks from random epoch sequences
 // (SetPeriodAt with model, odd, power-of-two and arbitrary periods) and
-// checks EdgeAtOrAfter, NextEdge, After, OnEdge, Sync and SyncPath.Sync
-// against refClock at query times up to 2^60 fs: around every epoch
-// boundary, inside every epoch, on the edges of every epoch's grid and at
-// random, both while the epochs are being added and once they are all in
-// place. A jittered clock that takes every reconfiguration must never
-// report OnEdge, and its first edge at or after t and next edge after t
-// must be at or after and after t.
+// checks EdgeAtOrAfter, NextEdge, After, Grid, Sync, SyncPath.Sync and
+// SyncPath.Cached against refClock and refSync at query times up to 2^60
+// fs: around every epoch boundary, inside every epoch, on the edges of
+// every epoch's grid and at random, both while the epochs are being added
+// and once they are all in place. Where Grid holds for n, the timing
+// model's inline sums must equal After and NextEdge; a path's cached
+// integer threshold must split the gaps as Sync's float64 compare does. A
+// jittered clock that takes every reconfiguration must never pass Grid,
+// and its first edge at or after t and next edge after t must be at or
+// after and after t.
 func FuzzClockEdges(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 4, 3, 0, 8, 1, 1, 12})
@@ -209,21 +227,24 @@ func checkClockEdges(t *testing.T, in *fuzzBytes) {
 			if got, want := c.Period(tq), r.period(tq); got != want {
 				t.Fatalf("clock %d Period(%d) = %d, want %d", i, tq, got, want)
 			}
-			// OnEdge holds exactly on the final epoch's grid, where the
+			// Grid holds on the final epoch's grid and, n periods clear of
+			// the final epoch's start, on the locking epoch's, where the
 			// inline sums of the timing model's call sites must agree
 			// with After and NextEdge.
-			k := len(r.starts) - 1
-			s, p := r.starts[k], r.periods[k]
-			onEdge := tq >= s && (tq-s)%p == 0
-			if got := c.OnEdge(tq); got != onEdge {
-				t.Fatalf("clock %d OnEdge(%d) = %v, want %v (epochs %v %v)", i, tq, got, onEdge, r.starts, r.periods)
+			wantP, wantOK := r.grid(tq, n)
+			p, ok := c.Grid(tq, n)
+			if ok != wantOK || ok && p != wantP {
+				t.Fatalf("clock %d Grid(%d, %d) = %d, %v, want %d, %v (epochs %v %v)", i, tq, n, p, ok, wantP, wantOK, r.starts, r.periods)
 			}
-			if onEdge {
-				if got, want := tq+timing.FS(n)*c.CurrentPeriod(), c.After(tq, n); got != want {
-					t.Fatalf("clock %d on edge %d: t+%d*period = %d, After = %d", i, tq, n, got, want)
+			if ok {
+				if got, want := tq+timing.FS(n)*p, r.after(tq, n); got != want {
+					t.Fatalf("clock %d on grid at %d: t+%d*period = %d, After = %d", i, tq, n, got, want)
 				}
-				if got, want := tq+c.CurrentPeriod(), c.NextEdge(tq); got != want {
-					t.Fatalf("clock %d on edge %d: t+period = %d, NextEdge = %d", i, tq, got, want)
+				if got, want := tq, r.edgeAtOrAfter(tq); got != want {
+					t.Fatalf("clock %d on grid at %d: EdgeAtOrAfter = %d", i, tq, want)
+				}
+				if got, want := tq+p, r.nextEdge(tq); n >= 1 && got != want {
+					t.Fatalf("clock %d on grid at %d: t+period = %d, NextEdge = %d", i, tq, got, want)
 				}
 			}
 			other := 1 - i
@@ -231,12 +252,25 @@ func checkClockEdges(t *testing.T, in *fuzzBytes) {
 			if got := Sync(c, clocks[other], tq); got != want {
 				t.Fatalf("Sync(%d -> %d, %d) = %d, want %d", i, other, tq, got, want)
 			}
-			if got := paths[i].Sync(tq); got != want {
+			path := paths[i]
+			if got, ok := path.Cached(tq); ok && got != want {
+				t.Fatalf("SyncPath(%d -> %d).Cached(%d) = %d, want %d", i, other, tq, got, want)
+			}
+			if got := path.Sync(tq); got != want {
 				t.Fatalf("SyncPath(%d -> %d).Sync(%d) = %d, want %d", i, other, tq, got, want)
 			}
+			// The segment Sync cached, if any, holds tq; its threshold is
+			// the least integer gap that Sync's float64 compare does not
+			// call too close.
+			if _, ok := path.Cached(tq); ok {
+				x := SyncThreshold * float64(min(refs[i].period(tq), refs[other].period(tq)))
+				if float64(path.thr) < x || !(float64(path.thr-1) < x) {
+					t.Fatalf("SyncPath(%d -> %d) threshold %d at %d, float threshold %v", i, other, path.thr, tq, x)
+				}
+			}
 		}
-		if jittered.OnEdge(tq) {
-			t.Fatalf("jittered clock OnEdge(%d) = true", tq)
+		if _, ok := jittered.Grid(tq, n); ok {
+			t.Fatalf("jittered clock Grid(%d, %d) holds", tq, n)
 		}
 		if got := jittered.EdgeAtOrAfter(tq); got < tq {
 			t.Fatalf("jittered clock EdgeAtOrAfter(%d) = %d (epochs %v)", tq, got, jittered.epochs)

@@ -1,6 +1,7 @@
 package clock
 
 import (
+	"math"
 	"testing"
 
 	"gals/internal/timing"
@@ -75,7 +76,7 @@ func TestSyncPathThresholdRefresh(t *testing.T) {
 	if got, want := p.Sync(probe), Sync(prod, cons, probe); got != want {
 		t.Fatalf("after refresh Sync(%d) = %d, want %d", probe, got, want)
 	}
-	if want := SyncThreshold * float64(2_000_000); p.threshold != want {
-		t.Fatalf("threshold = %v, want %v", p.threshold, want)
+	if want := timing.FS(math.Ceil(SyncThreshold * float64(2_000_000))); p.thr != want {
+		t.Fatalf("threshold = %v, want %v", p.thr, want)
 	}
 }

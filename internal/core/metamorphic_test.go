@@ -62,3 +62,48 @@ func TestMetamorphicSeedInvariance(t *testing.T) {
 		}
 	}
 }
+
+// metamorphicControllersOff is the Phase-Adaptive machine with both of its
+// controllers disabled.
+func metamorphicControllersOff() Config {
+	cfg := metamorphicCfgs()["phase"]
+	cfg.DisableCacheAdapt, cfg.DisableIQAdapt = true, true
+	return cfg
+}
+
+// TestMetamorphicControllersOffFrozen: a Phase-Adaptive machine with both
+// controllers disabled runs exactly as one under the "frozen" policy,
+// which never reconfigures: two routes to the same machine.
+func TestMetamorphicControllersOffFrozen(t *testing.T) {
+	const n = 30_000
+	off := metamorphicControllersOff()
+	frozen := metamorphicCfgs()["phase"]
+	frozen.Policy = "frozen"
+	for _, name := range metamorphicBenches {
+		spec := bench(t, name)
+		ro := NewMachine(spec, off).Run(n)
+		rf := NewMachine(spec, frozen).Run(n)
+		if ro.TimeFS != rf.TimeFS || !reflect.DeepEqual(ro.Stats, rf.Stats) {
+			t.Errorf("%s: controllers off give %d fs %+v, frozen policy %d fs %+v",
+				name, ro.TimeFS, ro.Stats, rf.TimeFS, rf.Stats)
+		}
+	}
+}
+
+// TestMetamorphicPLLScaleWithoutReconfig: the PLL scale stretches only lock
+// times, so with both controllers off (no reconfiguration, no lock) a run
+// does not depend on it.
+func TestMetamorphicPLLScaleWithoutReconfig(t *testing.T) {
+	const n = 30_000
+	for _, name := range metamorphicBenches {
+		spec := bench(t, name)
+		a, b := metamorphicControllersOff(), metamorphicControllersOff()
+		a.PLLScale, b.PLLScale = 0.1, 1
+		ra := NewMachine(spec, a).Run(n)
+		rb := NewMachine(spec, b).Run(n)
+		if ra.TimeFS != rb.TimeFS || !reflect.DeepEqual(ra.Stats, rb.Stats) {
+			t.Errorf("%s: PLL scale 0.1 gives %d fs %+v, scale 1 %d fs %+v",
+				name, ra.TimeFS, ra.Stats, rb.TimeFS, rb.Stats)
+		}
+	}
+}

@@ -17,7 +17,8 @@ func maxFS(a, b timing.FS) timing.FS {
 }
 
 // srcReady returns the time operand r is usable in the consumer domain,
-// including cross-domain synchronization cost.
+// including cross-domain synchronization cost. Domains that share a clock
+// (all of them in a synchronous machine) transfer for free.
 func (m *Machine) srcReady(r isa.Reg, consumer clock.Domain) timing.FS {
 	if !r.Valid() {
 		return 0
@@ -27,10 +28,14 @@ func (m *Machine) srcReady(r isa.Reg, consumer clock.Domain) timing.FS {
 		return 0
 	}
 	prod := m.regDomain[r]
-	if prod == consumer {
+	if m.clocks[prod] == m.clocks[consumer] {
 		return t
 	}
-	return m.syncPaths[prod][consumer].Sync(t)
+	p := m.syncPaths[prod][consumer]
+	if tc, ok := p.Cached(t); ok {
+		return tc
+	}
+	return p.Sync(t)
 }
 
 // writeDest records a register result produced in domain d at time t.
@@ -116,15 +121,26 @@ func (m *Machine) l2Timed(cls cache.Class, t timing.FS) timing.FS {
 	switch cls {
 	case cache.AHit:
 		m.stats.L2A++
+		if p, ok := ls.Grid(t, l2A); ok {
+			return t + timing.FS(l2A)*p
+		}
 		return ls.After(t, l2A)
 	case cache.BHit:
 		m.stats.L2B++
+		if p, ok := ls.Grid(t, l2A+l2B); ok {
+			return t + timing.FS(l2A+l2B)*p
+		}
 		return ls.After(t, l2A+l2B)
 	default:
 		m.stats.L2Miss++
 		// Miss-under-probe: the B-partition probe overlaps the memory
 		// request, so a full miss pays only the A latency here.
-		miss := ls.After(t, l2A)
+		var miss timing.FS
+		if p, ok := ls.Grid(t, l2A); ok {
+			miss = t + timing.FS(l2A)*p
+		} else {
+			miss = ls.After(t, l2A)
+		}
 		// Bounded number of outstanding misses.
 		miss = maxFS(miss, m.mshr.floor(MSHREntries))
 		memClk := m.clocks[clock.Memory]
@@ -140,12 +156,13 @@ func (m *Machine) l2Timed(cls cache.Class, t timing.FS) timing.FS {
 // step advances the machine by one dynamic instruction.
 //
 // Nearly every clock query here and in the exec functions starts at an edge
-// of its clock's final epoch, so each site computes its edges as sums of
-// CurrentPeriod and calls the Clock methods, which the compiler cannot
-// inline, only when the inlined Clock.OnEdge test fails (`make inline`).
-// Queue crossings (clock.Align) make no such test: in a multiple-clock-domain
-// run their times come from another clock and almost never lie on the
-// consumer's grid.
+// of one of its clock's two cached grids (the final epoch's, or the locking
+// epoch's while a PLL locks), so each site computes its edges as sums of the
+// period that the inlined Clock.Grid test returns and calls the Clock
+// methods, which the compiler cannot inline, only when that test fails
+// (`make inline`). Queue crossings (clock.Align) make no such test: in a
+// multiple-clock-domain run their times come from another clock and almost
+// never lie on the consumer's grid.
 func (m *Machine) step(in *isa.Inst) {
 	fe := m.clocks[clock.FrontEnd]
 	m.applyPending()
@@ -182,16 +199,21 @@ func (m *Machine) step(in *isa.Inst) {
 				n, busy, miss = aLat, true, true
 			}
 		}
-		p := fe.CurrentPeriod()
-		m.groupReady, m.nextLineAt = start+timing.FS(n)*p, start+p
-		if !fe.OnEdge(start) {
+		if p, ok := fe.Grid(start, n); ok {
+			m.groupReady, m.nextLineAt = start+timing.FS(n)*p, start+p
+		} else {
 			start = fe.EdgeAtOrAfter(start)
 			m.groupReady, m.nextLineAt = fe.After(start, n), fe.NextEdge(start)
 		}
 		if miss {
 			req := m.syncPaths[clock.FrontEnd][clock.LoadStore].Sync(m.groupReady)
 			done := m.l2AccessI(in.PC&^uint64(L2LineBytes-1), req)
-			m.groupReady = fe.EdgeAtOrAfter(m.syncPaths[clock.LoadStore][clock.FrontEnd].Sync(done))
+			// Sync returns a front-end edge, which Grid accepts unless the
+			// clock jitters or the edge precedes the locking epoch.
+			m.groupReady = m.syncPaths[clock.LoadStore][clock.FrontEnd].Sync(done)
+			if _, ok := fe.Grid(m.groupReady, 0); !ok {
+				m.groupReady = fe.EdgeAtOrAfter(m.groupReady)
+			}
 		}
 		if busy {
 			m.nextLineAt = m.groupReady
@@ -204,9 +226,13 @@ func (m *Machine) step(in *isa.Inst) {
 
 	// ------------------------------------------------------------------
 	// Rename / dispatch (front-end domain, in order).
-	dec, p := m.fetchQ.floor(DecodeWidth), fe.CurrentPeriod()
-	rn := maxFS(fetch+frontDepth*p, dec+p)
-	if !fe.OnEdge(fetch) || !fe.OnEdge(dec) {
+	dec := m.fetchQ.floor(DecodeWidth)
+	var rn timing.FS
+	pf, okf := fe.Grid(fetch, frontDepth)
+	pd, okd := fe.Grid(dec, 1)
+	if okf && okd {
+		rn = maxFS(fetch+frontDepth*pf, dec+pd)
+	} else {
 		rn = maxFS(fe.After(fetch, frontDepth), fe.NextEdge(dec))
 	}
 	rn = maxFS(rn, m.lastRename)
@@ -227,7 +253,7 @@ func (m *Machine) step(in *isa.Inst) {
 	if in.Class.IsMem() {
 		rn = maxFS(rn, m.lsq.floor(LSQEntries))
 	}
-	if !fe.OnEdge(rn) {
+	if _, ok := fe.Grid(rn, 0); !ok {
 		rn = fe.EdgeAtOrAfter(rn)
 	}
 	m.lastRename = rn
@@ -283,10 +309,15 @@ func (m *Machine) step(in *isa.Inst) {
 
 	// ------------------------------------------------------------------
 	// Commit (in order, retire width per front-end cycle).
+	// c commits one edge after the later of c and the edge after ret. With
+	// both on a grid, that is the later of c's next edge and ret's second
+	// edge on (NextEdge is monotone).
 	c := maxFS(clock.Align(m.clocks[execDomain], fe, complete), m.lastCommit)
-	if ret := m.rob.floor(RetireWidth); fe.OnEdge(ret) && fe.OnEdge(c) {
-		p := fe.CurrentPeriod()
-		c = maxFS(c, ret+p) + p
+	ret := m.rob.floor(RetireWidth)
+	pr, okr := fe.Grid(ret, 2)
+	pc, okc := fe.Grid(c, 1)
+	if okr && okc {
+		c = maxFS(c+pc, ret+2*pr)
 	} else {
 		c = fe.After(maxFS(c, fe.NextEdge(ret)), 1)
 	}
@@ -330,8 +361,10 @@ func (m *Machine) execCompute(in *isa.Inst, dom clock.Domain) timing.FS {
 	ck := m.clocks[dom]
 	enter := clock.Align(fe, ck, m.lastRename) // queue write: sync hidden
 
-	ready := enter + ck.CurrentPeriod() // wakeup
-	if !ck.OnEdge(enter) {
+	var ready timing.FS // wakeup
+	if p, ok := ck.Grid(enter, 1); ok {
+		ready = enter + p
+	} else {
 		ready = ck.After(enter, 1)
 	}
 	ready = maxFS(ready, m.srcReady(in.Src1, dom))
@@ -345,8 +378,10 @@ func (m *Machine) execCompute(in *isa.Inst, dom clock.Domain) timing.FS {
 		qWin, alu, mul = &m.intQ, m.intFU, m.intMul
 		ready = maxFS(ready, m.minIntIssue)
 	}
-	if q := qWin.floor(IssueWidth); ck.OnEdge(q) && ck.OnEdge(ready) {
-		ready = maxFS(ready, q+ck.CurrentPeriod())
+	q := qWin.floor(IssueWidth)
+	pq, okq := ck.Grid(q, 1)
+	if _, ok := ck.Grid(ready, 0); ok && okq {
+		ready = maxFS(ready, q+pq)
 	} else {
 		ready = ck.EdgeAtOrAfter(maxFS(ready, ck.NextEdge(q)))
 	}
@@ -363,9 +398,10 @@ func (m *Machine) execCompute(in *isa.Inst, dom clock.Domain) timing.FS {
 	}
 	u, start := pool.take(ready)
 	qWin.push(start)
-	p := ck.CurrentPeriod()
-	free, done := start+timing.FS(occupancy)*p, start+timing.FS(lat)*p
-	if !ck.OnEdge(start) {
+	var free, done timing.FS
+	if p, ok := ck.Grid(start, lat); ok {
+		free, done = start+timing.FS(occupancy)*p, start+timing.FS(lat)*p
+	} else {
 		free, done = ck.After(start, occupancy), ck.After(start, lat)
 	}
 	pool.avail[u] = free
@@ -403,8 +439,10 @@ func (m *Machine) execLoad(in *isa.Inst) timing.FS {
 	agDone := m.addrGen(in)
 	ls := m.clocks[clock.LoadStore]
 	req := clock.Align(m.clocks[clock.Integer], ls, agDone) // LSQ insert: sync hidden
-	if q := m.dports.floor(DCachePorts); ls.OnEdge(q) && ls.OnEdge(req) {
-		req = maxFS(req, q+ls.CurrentPeriod())
+	q := m.dports.floor(DCachePorts)
+	pq, okq := ls.Grid(q, 1)
+	if _, ok := ls.Grid(req, 0); ok && okq {
+		req = maxFS(req, q+pq)
 	} else {
 		req = ls.EdgeAtOrAfter(maxFS(req, ls.NextEdge(q)))
 	}
@@ -437,8 +475,10 @@ func (m *Machine) execLoad(in *isa.Inst) timing.FS {
 	default:
 		m.stats.DCacheMiss++
 	}
-	done := req + timing.FS(n)*ls.CurrentPeriod()
-	if !ls.OnEdge(req) {
+	var done timing.FS
+	if p, ok := ls.Grid(req, n); ok {
+		done = req + timing.FS(n)*p
+	} else {
 		done = ls.After(req, n)
 	}
 	if dcls == cache.Miss {
@@ -489,8 +529,10 @@ func (m *Machine) addrGen(in *isa.Inst) timing.FS {
 	fe := m.clocks[clock.FrontEnd]
 	ck := m.clocks[clock.Integer]
 	enter := clock.Align(fe, ck, m.lastRename) // queue write: sync hidden
-	ready := enter + ck.CurrentPeriod()
-	if !ck.OnEdge(enter) {
+	var ready timing.FS
+	if p, ok := ck.Grid(enter, 1); ok {
+		ready = enter + p
+	} else {
 		ready = ck.After(enter, 1)
 	}
 	base := in.Src1
@@ -499,15 +541,19 @@ func (m *Machine) addrGen(in *isa.Inst) timing.FS {
 	}
 	ready = maxFS(ready, m.srcReady(base, clock.Integer))
 	ready = maxFS(ready, m.minIntIssue)
-	if q := m.intQ.floor(IssueWidth); ck.OnEdge(q) && ck.OnEdge(ready) {
-		ready = maxFS(ready, q+ck.CurrentPeriod())
+	q := m.intQ.floor(IssueWidth)
+	pq, okq := ck.Grid(q, 1)
+	if _, ok := ck.Grid(ready, 0); ok && okq {
+		ready = maxFS(ready, q+pq)
 	} else {
 		ready = ck.EdgeAtOrAfter(maxFS(ready, ck.NextEdge(q)))
 	}
 	u, start := m.intFU.take(ready)
 	m.intQ.push(start)
-	done := start + ck.CurrentPeriod()
-	if !ck.OnEdge(start) {
+	var done timing.FS
+	if p, ok := ck.Grid(start, 1); ok {
+		done = start + p
+	} else {
 		done = ck.After(start, 1)
 	}
 	m.intFU.avail[u] = done

@@ -60,8 +60,9 @@ type TelemetrySample struct {
 	IntIQ       int    `json:"int_iq"`
 	FPIQ        int    `json:"fp_iq"`
 
-	// Effective domain frequencies (current clock periods, so an in-flight
-	// PLL lock shows the pre-switch frequency until it completes).
+	// Effective domain frequencies (the clock periods in effect at TimeFS,
+	// so an in-flight PLL lock shows the pre-switch frequency until it
+	// completes).
 	FEMHz  float64 `json:"fe_mhz"`
 	LSMHz  float64 `json:"ls_mhz"`
 	IntMHz float64 `json:"int_mhz"`
@@ -220,10 +221,10 @@ func (t *Telemetry) base(m *Machine, kind string) TelemetrySample {
 		DCacheIndex: int(m.dCfg),
 		IntIQ:       int(m.intIQ),
 		FPIQ:        int(m.fpIQ),
-		FEMHz:       mhz(m.clocks[clock.FrontEnd].CurrentPeriod()),
-		LSMHz:       mhz(m.clocks[clock.LoadStore].CurrentPeriod()),
-		IntMHz:      mhz(m.clocks[clock.Integer].CurrentPeriod()),
-		FPMHz:       mhz(m.clocks[clock.FloatingPoint].CurrentPeriod()),
+		FEMHz:       mhz(m.clocks[clock.FrontEnd].Period(m.lastCommit)),
+		LSMHz:       mhz(m.clocks[clock.LoadStore].Period(m.lastCommit)),
+		IntMHz:      mhz(m.clocks[clock.Integer].Period(m.lastCommit)),
+		FPMHz:       mhz(m.clocks[clock.FloatingPoint].Period(m.lastCommit)),
 	}
 }
 

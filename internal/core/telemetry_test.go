@@ -5,7 +5,9 @@ import (
 	"sort"
 	"testing"
 
+	"gals/internal/clock"
 	"gals/internal/control"
+	"gals/internal/timing"
 	"gals/internal/workload"
 )
 
@@ -192,5 +194,40 @@ func TestTelemetryDirectionAccounting(t *testing.T) {
 	}
 	if deltaTotal != res.Stats.Reconfigs {
 		t.Errorf("process counters gained %d events, Stats.Reconfigs = %d", deltaTotal, res.Stats.Reconfigs)
+	}
+}
+
+// TestTelemetryFrequencyDuringLock: a sample's domain frequencies are the
+// periods in effect at its commit time, so a domain whose PLL is still
+// locking reads its old frequency. Some samples must fall less than a lock
+// time before a clock switch, where a locking window can hold them, or the
+// check is vacuous.
+func TestTelemetryFrequencyDuringLock(t *testing.T) {
+	for _, name := range []string{"gcc", "em3d", "apsi"} {
+		spec, _ := workload.ByName(name)
+		cfg := DefaultAdaptive(PhaseAdaptive)
+		cfg.PLLScale = 0.1
+		m := NewMachine(spec, cfg)
+		tel := NewTelemetry(0)
+		if _, err := m.RunWith(nil, 100_000, RunOptions{Telemetry: tel}); err != nil {
+			t.Fatal(err)
+		}
+		lockMax := timing.FS(float64(clock.PLLLockMax) * cfg.PLLScale)
+		nearSwitch := 0
+		for _, s := range tel.Samples {
+			at := timing.FS(s.TimeFS)
+			for d, got := range map[clock.Domain]float64{clock.FrontEnd: s.FEMHz, clock.LoadStore: s.LSMHz, clock.Integer: s.IntMHz, clock.FloatingPoint: s.FPMHz} {
+				c := m.clocks[d]
+				if want := mhz(c.Period(at)); got != want {
+					t.Fatalf("%s sample at instruction %d: %v reads %v MHz, the clock runs at %v MHz", name, s.Instr, d, got, want)
+				}
+				if c.Period(at) != c.Period(at+lockMax) {
+					nearSwitch++
+				}
+			}
+		}
+		if nearSwitch == 0 {
+			t.Fatalf("%s: no sample fell within a lock time before a clock switch", name)
+		}
 	}
 }

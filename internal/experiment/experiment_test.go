@@ -284,7 +284,7 @@ func TestSuiteKeyEnvNeutral(t *testing.T) {
 	if bare.memoKey() != dressed.memoKey() {
 		t.Error("Env or Tracer split the suite key")
 	}
-	const want = "suite/6d07d5b8992c752e4a80010b4e6e7ed0d940a5eb998f5814eb09545be4fab1b0"
+	const want = "suite/1d6731d2a5d8d0eff007080c905fff7a1f3108d7181e966a0bb81911dc6a6f84"
 	for _, o := range []Options{bare, dressed} {
 		if got := resultcache.Key("suite", o.memoKey()); got != want {
 			t.Errorf("suite key %s, want %s", got, want)

@@ -57,7 +57,12 @@ import (
 // jittered a second time, which had put the first edge at or after an
 // epoch's start before it. Jittered runs change; jitter-free results are
 // bit-identical.
-const SchemaVersion = "gals-results-v4"
+//
+// v5: a telemetry sample's domain frequencies are the clock periods in
+// effect at its commit time, not the pending period of a PLL still
+// locking. Persisted telemetry artifacts change; simulation results are
+// bit-identical.
+const SchemaVersion = "gals-results-v5"
 
 // Store is the persistence interface consumed by the compute layers
 // (experiment's suite memo, sweep's measure matrices, the service's runs).

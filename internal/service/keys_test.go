@@ -33,10 +33,10 @@ func TestServiceKeysPinned(t *testing.T) {
 		Priority: 1, TimeoutMS: 300,
 	}
 	for _, c := range []struct{ got, want string }{
-		{run.cacheKey(), "run/3ccc6f73f6e0d1c441a40615dad59dfc8f9facc5b91f78b27adebd45a652a55c"},
-		{run.telemetryKey(), "telemetry/80aaa5515334606a02c56fb3c120dbe1380b2b39322c7acba9dbb654de3cdcca"},
-		{sw.cacheKey(), "sweepreq/d559b1837105b4b2efe31bda80595a4952d2eb5c7f59ccf584f1ef8b750d0300"},
-		{suite.cacheKey(), "suitereq/23d6194b3a68cce27db5620e44b545d80f3a99c1b1d2c810f3ce74974ecd7c18"},
+		{run.cacheKey(), "run/b66a96508c180f82c7053dae4f06eb98708d1602b7372a8ed9c4bdca0d0aa703"},
+		{run.telemetryKey(), "telemetry/748123b8751a6f657a69cc5571acf27065951e5751e2bfbd2f9fb0411bd36e79"},
+		{sw.cacheKey(), "sweepreq/ac8196636dd1137e0f7927f792368f0b1c3797954c3ebbb1d593ada042dad8a7"},
+		{suite.cacheKey(), "suitereq/e6ad08ff6e587b1dcc1434bfd8863f82f0d0fff49d0a0528d8a9eb58eda1a960"},
 	} {
 		if c.got != c.want {
 			t.Errorf("key %s, want %s", c.got, c.want)

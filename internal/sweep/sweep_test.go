@@ -411,10 +411,10 @@ func TestMeasureKeyEnvNeutral(t *testing.T) {
 	withEnv := bare
 	withEnv.Env = Env{Cache: c, Recordings: recs}
 	want := map[string]string{
-		"sweepsum":  "sweepsum/0e9b87d59ee6ee147a1f47dcca698711277efa34a5df5a809e2d2b7ce1acb338",
-		"sweepckpt": "sweepckpt/69f809d43cdd5eee4f7fbddcc4cac96916779ad290074a4281e62fb00bf314e4",
-		"phase":     "phase/1db6f9e079872151b9d82b80c52f6c23d9dcbb3d7305dbb3637a344f4b72b406",
-		"phaseckpt": "phaseckpt/9f5b75b81d5ebbe6e3b9a7d1f20a148e0b6af8644057b291d1854ec1bdd5b41c",
+		"sweepsum":  "sweepsum/60b661d38de64341e62876e46595edcfd2b1f27e4c35f038f764a8c5163abf2c",
+		"sweepckpt": "sweepckpt/34af32798486cf28d5488cf2991b7a578e0deeb51fd17c353fb58358139ee713",
+		"phase":     "phase/809e9d6b7cfd82282e4e98a1c024c5a7754a623d3732b956c7bf1df3e875ba2b",
+		"phaseckpt": "phaseckpt/3bef1a3fdde0adff484e84e81ef39a16f1dd054e0a21168f8f0f81553546a891",
 	}
 	for _, o := range []Options{bare, withEnv} {
 		for kind, w := range want {
@@ -432,14 +432,14 @@ func TestMeasureKeyEnvNeutral(t *testing.T) {
 	pol := Options{Window: 1500, Policy: "interval", PolicyParams: "interval=7500"}.WithDefaults()
 	specs, cfgs = workload.Suite()[:2], AdaptiveSpace()[:4]
 	for kind, w := range map[string]string{
-		"sweepsum":  "sweepsum/cb243b563cb01cc3d279c590f9e3241ca101f196b19a5fe6aa67db118c603f9e",
-		"sweepckpt": "sweepckpt/60278c765db1c5d39787ac9aee66432019d04c9479a94bfc6f981e727864d55c",
+		"sweepsum":  "sweepsum/fab4f360666211f3691f4674157ec110a2ff0eda5a3b5ec1ad91d6e3a6c6c429",
+		"sweepckpt": "sweepckpt/fc42eb50bf2b18614b1d5bea3e64dc8b380e79a04a83467bf08e55ef64567c5c",
 	} {
 		if got := pol.measureKey(kind, specs, cfgs); got != w {
 			t.Errorf("policy %s key %s, want %s", kind, got, w)
 		}
 	}
-	if got, w := pol.measureKey("phase", specs, nil), "phase/fad26a38d5b367864c29cf2819b9591cf7f5c2243858c5121d3244c537742ea3"; got != w {
+	if got, w := pol.measureKey("phase", specs, nil), "phase/75ae396092b845ce373f5cc6a3630403ff1fcb0f98af55fd559d5f06c7e0a8f9"; got != w {
 		t.Errorf("policy phase key %s, want %s", got, w)
 	}
 }

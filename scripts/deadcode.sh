@@ -2,7 +2,8 @@
 # Dead-code gate: fails when a function or method declared in a non-test
 # file of a library package (internal/*, the public package gals and
 # client/) is linked into no main package of the repo (cmd/*, examples/*,
-# and bench/galsbench in the separate bench/ module).
+# and bench/galsbench in the separate bench/ module), or when a type alias
+# of gals.go is named nowhere else.
 #
 # Every main package is built with inlining off (-gcflags=all=-l), so a
 # function the linker keeps shows up in `go tool nm` even when every caller
@@ -63,15 +64,38 @@ awk -F'\t' -v keep="$tmp/linked $tmp/allowed" '
 	BEGIN { n = split(keep, f, " "); for (i = 1; i <= n; i++) while ((getline s < f[i]) > 0) ok[s] = 1 }
 	!($1 in ok)' "$tmp/declared" >"$tmp/dead"
 
-# An allowlist entry that is no longer declared, or is linked after all,
-# is stale.
-cut -f1 "$tmp/declared" | sort -u >"$tmp/names"
+# A type alias in gals.go links no symbol of its own, so the linker cannot
+# tell whether anything uses it. It is dead when no other code line of
+# gals.go (comments stripped) names it, no non-test Go file under cmd/,
+# examples/ or bench/ names gals.<Alias>, and the allowlist does not
+# list it as gals.<Alias>.
+awk '
+	/^type \(/ { block = 1; next }
+	block && /^\)/ { block = 0; next }
+	block && match($0, /^\t[A-Z][A-Za-z0-9_]* *=/) { print substr($0, 2, RLENGTH - 1) "\t" NR; next }
+	match($0, /^type [A-Z][A-Za-z0-9_]* *=/) { print substr($0, 6, RLENGTH - 5) "\t" NR }' gals.go |
+	sed -E 's/ *=\t/\t/' >"$tmp/aliases"
+find cmd examples bench -name '*.go' ! -name '*_test.go' -exec cat {} + >"$tmp/clients"
+sed -E 's#//.*##' gals.go >"$tmp/gals_code"
+: >"$tmp/named"
+while IFS=$'\t' read -r alias line; do
+	if awk -v a="$alias" -v l="$line" 'NR != l && $0 ~ ("(^|[^A-Za-z0-9_])" a "([^A-Za-z0-9_]|$)") { found = 1 } END { exit !found }' "$tmp/gals_code" ||
+		grep -qE "gals\.$alias([^A-Za-z0-9_]|$)" "$tmp/clients"; then
+		echo "gals.$alias" >>"$tmp/named"
+	elif ! grep -qxF "gals.$alias" "$tmp/allowed"; then
+		printf 'gals.%s\t%s/gals.go:%s\n' "$alias" "$PWD" "$line" >>"$tmp/dead"
+	fi
+done <"$tmp/aliases"
+
+# An allowlist entry that is no longer declared, or is linked (named, for
+# an alias) after all, is stale.
+{ cut -f1 "$tmp/declared"; sed 's/^/gals./; s/\t.*//' "$tmp/aliases"; } | sort -u >"$tmp/names"
 comm -23 "$tmp/allowed" "$tmp/names" | sed 's/$/: allowlisted but not declared/' >"$tmp/stale"
-comm -12 "$tmp/allowed" "$tmp/linked" | sed 's/$/: allowlisted but linked/' >>"$tmp/stale"
+sort -u "$tmp/linked" "$tmp/named" | comm -12 "$tmp/allowed" - | sed 's/$/: allowlisted but linked or named/' >>"$tmp/stale"
 
 status=0
 if [ -s "$tmp/dead" ]; then
-	echo "deadcode: declared in a library package but linked into no main package:" >&2
+	echo "deadcode: declared in a library package but linked into no main package (or, for a gals.go type alias, named by none):" >&2
 	awk -F'\t' -v root="$PWD/" '{ sub(root, "", $2); print "  " $2 ": " $1 }' "$tmp/dead" >&2
 	status=1
 fi
@@ -80,5 +104,5 @@ if [ -s "$tmp/stale" ]; then
 	sed 's/^/  /' "$tmp/stale" >&2
 	status=1
 fi
-[ $status -eq 0 ] && echo "deadcode: $(wc -l <"$tmp/names") library functions, all linked or allowlisted"
+[ $status -eq 0 ] && echo "deadcode: $(cut -f1 "$tmp/declared" | sort -u | wc -l) library functions and $(wc -l <"$tmp/aliases") gals.go type aliases, all linked, named or allowlisted"
 exit $status
