@@ -42,16 +42,15 @@ allocs:
 # and srcReady answers a cross-domain operand with an inlined
 # (*SyncPath).Cached; both pay only while the compiler inlines them. Fails
 # if either helper is not inlinable, or if no call of a helper is inlined
-# into a function INLINE_SITES pairs it with (internal/core/pipeline.go).
+# into each function the recipe pairs it with (internal/core/pipeline.go).
 # The compiler's -m report names only line numbers, so each function's
 # lines are read from its source.
-INLINE_SITES ?= Clock.Grid:step Clock.Grid:execCompute Clock.Grid:addrGen Clock.Grid:execLoad Clock.Grid:l2Timed SyncPath.Cached:srcReady
 inline:
 	@out=$$($(GO) build -gcflags=-m ./internal/clock ./internal/core 2>&1) || { echo "$$out" >&2; exit 1; }; \
 	for h in '(*Clock).Grid' '(*SyncPath).Cached'; do \
 		echo "$$out" | awk -v s="can inline $$h" 'substr($$0, length($$0) - length(s) + 1) == s { f = 1 } END { exit !f }' || { echo "inline: $$h is not inlinable" >&2; exit 1; }; \
 	done; \
-	for s in $(INLINE_SITES); do \
+	for s in Clock.Grid:step Clock.Grid:execCompute Clock.Grid:addrGen Clock.Grid:execLoad Clock.Grid:l2Timed SyncPath.Cached:srcReady; do \
 		h=$${s%%:*}; f=$${s##*:}; \
 		echo "$$out" | awk -v fn=$$f -v call="inlining call to clock.(*$${h%%.*}).$${h##*.}" ' \
 			FNR == NR { if ($$0 ~ "^func \\(m \\*Machine\\) " fn "\\(") a = FNR; else if (a && !b && $$0 == "}") b = FNR; next } \

@@ -185,8 +185,9 @@ func (in *fuzzBytes) cycles() int {
 // model's inline sums must equal After and NextEdge; a path's cached
 // integer threshold must split the gaps as Sync's float64 compare does. A
 // jittered clock that takes every reconfiguration must never pass Grid,
-// and its first edge at or after t and next edge after t must be at or
-// after and after t.
+// its first edge at or after t and next edge after t must be at or after
+// and after t, and a path's Sync into it must return one of its edges (the
+// timing model uses a Sync into the front end as a front-end edge).
 func FuzzClockEdges(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 4, 3, 0, 8, 1, 1, 12})
@@ -207,6 +208,7 @@ func checkClockEdges(t *testing.T, in *fuzzBytes) {
 	}
 	paths := [2]*SyncPath{NewSyncPath(clocks[0], clocks[1]), NewSyncPath(clocks[1], clocks[0])}
 	jittered := New(Domain(2), refs[0].periods[0], 1, 0.01)
+	intoJittered := NewSyncPath(clocks[0], jittered)
 
 	check := func(tq timing.FS, n int) {
 		t.Helper()
@@ -277,6 +279,9 @@ func checkClockEdges(t *testing.T, in *fuzzBytes) {
 		}
 		if got := jittered.NextEdge(tq); got <= tq {
 			t.Fatalf("jittered clock NextEdge(%d) = %d (epochs %v)", tq, got, jittered.epochs)
+		}
+		if tc := intoJittered.Sync(tq); tc < tq || jittered.EdgeAtOrAfter(tc) != tc {
+			t.Fatalf("SyncPath(0 -> jittered).Sync(%d) = %d, not an edge at or after it (epochs %v)", tq, tc, jittered.epochs)
 		}
 	}
 	probe := func(r *refClock, k int) {

@@ -208,12 +208,7 @@ func (m *Machine) step(in *isa.Inst) {
 		if miss {
 			req := m.syncPaths[clock.FrontEnd][clock.LoadStore].Sync(m.groupReady)
 			done := m.l2AccessI(in.PC&^uint64(L2LineBytes-1), req)
-			// Sync returns a front-end edge, which Grid accepts unless the
-			// clock jitters or the edge precedes the locking epoch.
 			m.groupReady = m.syncPaths[clock.LoadStore][clock.FrontEnd].Sync(done)
-			if _, ok := fe.Grid(m.groupReady, 0); !ok {
-				m.groupReady = fe.EdgeAtOrAfter(m.groupReady)
-			}
 		}
 		if busy {
 			m.nextLineAt = m.groupReady
