@@ -4,7 +4,7 @@
 
 GO        ?= go
 BENCH     ?= BenchmarkSimulator|BenchmarkTrace|BenchmarkAccountingCache|BenchmarkBranchPredictor|BenchmarkFUPool|BenchmarkWindow
-BENCHPKGS ?= . ./internal/core
+BENCHPKGS ?= . ./internal/core ./internal/workload
 COUNT     ?= 5
 BENCHOUT  ?= BENCH_latest.txt
 MEMWINDOW ?= 60000
@@ -39,24 +39,41 @@ allocs:
 
 # Inlining gate (also a CI step): the timing model's hot clock queries test
 # (*Clock).Grid inline and call the clock's methods only off its fast path,
-# and srcReady answers a cross-domain operand with an inlined
-# (*SyncPath).Cached; both pay only while the compiler inlines them. Fails
-# if either helper is not inlinable, or if no call of a helper is inlined
-# into each function the recipe pairs it with (internal/core/pipeline.go).
-# The compiler's -m report names only line numbers, so each function's
-# lines are read from its source.
+# srcReady answers a cross-domain operand with an inlined
+# (*SyncPath).Cached, and the trace generator draws its random numbers
+# through the inlined (*rng).Float64 and (*rng).Int63; each pays only while
+# the compiler inlines it. Fails if a helper is not inlinable, or if no call
+# of a helper is inlined into each function a site names. A site is
+# file:receiver:function:call, the call spelled as the compiler's -m report
+# spells it. The report names only line numbers, so each function's lines
+# are read from its file.
 inline:
-	@out=$$($(GO) build -gcflags=-m ./internal/clock ./internal/core 2>&1) || { echo "$$out" >&2; exit 1; }; \
-	for h in '(*Clock).Grid' '(*SyncPath).Cached'; do \
+	@out=$$($(GO) build -gcflags=-m ./internal/clock ./internal/core ./internal/workload 2>&1) || { echo "$$out" >&2; exit 1; }; \
+	for h in '(*Clock).Grid' '(*SyncPath).Cached' '(*rng).Int63' '(*rng).Float64'; do \
 		echo "$$out" | awk -v s="can inline $$h" 'substr($$0, length($$0) - length(s) + 1) == s { f = 1 } END { exit !f }' || { echo "inline: $$h is not inlinable" >&2; exit 1; }; \
 	done; \
-	for s in Clock.Grid:step Clock.Grid:execCompute Clock.Grid:addrGen Clock.Grid:execLoad Clock.Grid:l2Timed SyncPath.Cached:srcReady; do \
-		h=$${s%%:*}; f=$${s##*:}; \
-		echo "$$out" | awk -v fn=$$f -v call="inlining call to clock.(*$${h%%.*}).$${h##*.}" ' \
-			FNR == NR { if ($$0 ~ "^func \\(m \\*Machine\\) " fn "\\(") a = FNR; else if (a && !b && $$0 == "}") b = FNR; next } \
-			substr($$0, length($$0) - length(call) + 1) == call { split($$0, p, ":"); if (p[1] == "internal/core/pipeline.go" && p[2] >= a && p[2] <= b) n++ } \
-			END { if (!n) { print "inline: " substr(call, 24) " is not inlined into " fn > "/dev/stderr"; exit 1 } print "inline: " fn ": " n " " substr(call, 24) " calls inlined" }' \
-			internal/core/pipeline.go - || exit 1; \
+	for s in \
+		'internal/core/pipeline.go:Machine:step:clock.(*Clock).Grid' \
+		'internal/core/pipeline.go:Machine:execCompute:clock.(*Clock).Grid' \
+		'internal/core/pipeline.go:Machine:addrGen:clock.(*Clock).Grid' \
+		'internal/core/pipeline.go:Machine:execLoad:clock.(*Clock).Grid' \
+		'internal/core/pipeline.go:Machine:l2Timed:clock.(*Clock).Grid' \
+		'internal/core/pipeline.go:Machine:srcReady:clock.(*SyncPath).Cached' \
+		'internal/workload/workload.go:Trace:emitBody:(*rng).Float64' \
+		'internal/workload/workload.go:Trace:emitBody:(*rng).Int63' \
+		'internal/workload/workload.go:Trace:dataAddr:(*rng).Float64' \
+		'internal/workload/workload.go:Trace:dataAddr:(*rng).Int63' \
+		'internal/workload/workload.go:Trace:ifOutcome:(*rng).Float64' \
+		'internal/workload/workload.go:Trace:loopTrips:(*rng).Float64' \
+		'internal/workload/workload.go:Trace:hotNext:(*rng).Float64'; do \
+		file=$${s%%:*}; r=$${s#*:}; recv=$${r%%:*}; r=$${r#*:}; fn=$${r%%:*}; call=$${r#*:}; \
+		echo "$$out" | awk -v file=$$file -v recv=$$recv -v fn=$$fn -v call="inlining call to $$call" ' \
+			FNR == NR { if ($$0 ~ "^func \\([A-Za-z_]+ \\*" recv "\\) " fn "\\(") a = FNR; else if (a && !b && $$0 == "}") b = FNR; next } \
+			substr($$0, length($$0) - length(call) + 1) == call { split($$0, p, ":"); if (p[1] == file && p[2] >= a && p[2] <= b) n++ } \
+			END { if (!a) { print "inline: no func (*" recv ")." fn " in " file > "/dev/stderr"; exit 1 } \
+				if (!n) { print "inline: " substr(call, 18) " is not inlined into " fn > "/dev/stderr"; exit 1 } \
+				print "inline: " fn ": " n " " substr(call, 18) " calls inlined" }' \
+			$$file - || exit 1; \
 	done
 
 # Dead-code gate (also a CI step): fails when a function declared in a
@@ -119,8 +136,12 @@ crash:
 # fixed point with a stable cache key. `go test ./...`
 # replays only their seed corpora (testdata/fuzz in each package); this
 # target mutates new inputs for 15 s each.
+# FuzzClockEdges caps the minimization of each new input at 500 runs: an
+# input's run time grows with its length and the minimizer tries on the
+# order of length² candidates, so the default 60 s budget held both
+# workers on a few long inputs for most of the 15 s.
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzClockEdges -fuzztime 15s ./internal/clock
+	$(GO) test -run '^$$' -fuzz FuzzClockEdges -fuzztime 15s -fuzzminimizetime 500x ./internal/clock
 	$(GO) test -run '^$$' -fuzz FuzzSweepCheckpoint -fuzztime 15s ./internal/sweep
 	$(GO) test -run '^$$' -fuzz FuzzPhaseCheckpoint -fuzztime 15s ./internal/sweep
 	$(GO) test -run '^$$' -fuzz FuzzRunRequestNormalize -fuzztime 15s ./internal/service
@@ -140,7 +161,8 @@ obs:
 
 # Micro-benchmarks of the simulator's hot paths: fast enough to run on
 # every PR. The simulator benchmarks live in the root package, the FU-pool
-# and window component benchmarks in internal/core. Results land in
+# and window component benchmarks in internal/core, the generate stage's
+# BenchmarkTraceNext in internal/workload. Results land in
 # $(BENCHOUT) for before/after comparison (benchstat-compatible: COUNT=5
 # repetitions by default).
 bench:

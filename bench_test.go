@@ -254,7 +254,7 @@ func nowNS() int64 { return time.Now().UnixNano() }
 
 // BenchmarkStageFunctional isolates the functional stage's per-instruction
 // cost (cache-hierarchy accesses + ILP tracking): positions only, no
-// timing model. With BenchmarkTraceGeneration (generate) and
+// timing model. With internal/workload's BenchmarkTraceNext (generate) and
 // BenchmarkSimulatorPhaseAdaptive (all three stages fused), this
 // decomposes the sequential budget into its stage costs.
 func BenchmarkStageFunctional(b *testing.B) {
@@ -299,16 +299,6 @@ func BenchmarkBranchPredictor(b *testing.B) {
 		taken := i%3 != 0
 		p.Predict(pc)
 		p.Update(pc, taken)
-	}
-}
-
-func BenchmarkTraceGeneration(b *testing.B) {
-	spec, _ := workload.ByName("gcc")
-	tr := spec.NewTrace()
-	var in isa.Inst
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Next(&in)
 	}
 }
 

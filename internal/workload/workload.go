@@ -16,14 +16,12 @@
 //
 // A Trace is deterministic given the benchmark's seed: every machine
 // configuration replays the identical dynamic instruction stream, mirroring
-// the paper's fixed simulation windows.
+// the paper's fixed simulation windows. The stream's random draws follow
+// math/rand's Go 1 value stream for rand.New(rand.NewSource(seed)),
+// reproduced exactly by a concrete, inlinable copy of its source (rng.go).
 package workload
 
-import (
-	"math/rand"
-
-	"gals/internal/isa"
-)
+import "gals/internal/isa"
 
 // Address-space layout for generated traces. The bases are deliberately
 // offset by non-multiples of the largest cache-way size so the regions do
@@ -41,6 +39,13 @@ const (
 	blockSpacing = 64
 	maxBlockLen  = 14
 	ringSize     = 64
+
+	// genBatch is how many instructions Next generates at a time. A batch
+	// generated in one loop, instead of one instruction between two
+	// simulator steps, keeps the generator's branchy code and the
+	// simulator's from alternating per instruction; PERFORMANCE.md has the
+	// measurement.
+	genBatch = 128
 )
 
 // Params control one phase of a generated workload. Fractions are in
@@ -144,7 +149,7 @@ type loopRec struct {
 type Trace struct {
 	spec Spec
 	p    Params
-	rng  *rand.Rand
+	rng  *rng // by pointer: copies of a Trace share one draw sequence
 
 	phases    []Phase
 	phaseIdx  int
@@ -180,6 +185,10 @@ type Trace struct {
 	// harmless noise.
 	branchCnt [4096]uint32
 
+	// buf holds the current batch; Next returns buf[pos] next.
+	buf [genBatch]isa.Inst
+	pos int
+
 	// Register rings: recently written registers by type.
 	intRing [ringSize]isa.Reg
 	fpRing  [ringSize]isa.Reg
@@ -193,7 +202,7 @@ type Trace struct {
 func (s Spec) NewTrace() *Trace {
 	t := &Trace{
 		spec:     s,
-		rng:      rand.New(rand.NewSource(s.Seed)),
+		rng:      newRNG(s.Seed),
 		phases:   s.Phases,
 		returnFn: -1,
 	}
@@ -299,8 +308,8 @@ func (t *Trace) blockPC(blockID int) uint64 {
 	return codeBase + uint64(blockID)*blockSpacing
 }
 
-// pickInt returns a recent integer result register at roughly the given
-// dependence profile.
+// pickSrc returns a recently written register of the given type: the last
+// one when serial, otherwise one up to MaxDepDist results back.
 func (t *Trace) pickSrc(fp bool, serial bool) isa.Reg {
 	ring, pos := &t.intRing, t.intPos
 	if fp {
@@ -375,7 +384,18 @@ func (t *Trace) dataAddr() uint64 {
 // Next fills in with the next dynamic instruction. It always succeeds
 // (traces are unbounded); the caller decides the window length.
 func (t *Trace) Next(in *isa.Inst) {
+	if t.pos == 0 {
+		for i := range t.buf {
+			t.generate(&t.buf[i])
+		}
+	}
+	*in = t.buf[t.pos]
+	t.pos = (t.pos + 1) % genBatch
 	t.count++
+}
+
+// generate fills in with the stream's next instruction.
+func (t *Trace) generate(in *isa.Inst) {
 	if t.phaseLeft--; t.phaseLeft <= 0 && len(t.phases) > 0 {
 		t.setPhase(t.phaseIdx + 1)
 	}
